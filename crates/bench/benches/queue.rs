@@ -8,6 +8,11 @@
 //!   which is what the sharded swarm engine's action queues look like
 //!   mid-mission. Measured at 1k and 100k pending entries, the second
 //!   deep enough that bucket-width adaptation decides the outcome.
+//! * **front-loaded ties** — the drone-mission capture pattern: every
+//!   lane captures at each whole second, the whole schedule is pushed
+//!   before the first pop, then it drains. Each iteration fills and
+//!   drains a fresh queue, so the width adaptation (and any rebuild
+//!   thrash it causes on same-instant bursts) is part of the measurement.
 //!
 //! Runs in CI's quick mode via `HIVEMIND_BENCH_QUICK=1` (the criterion
 //! stand-in shortens warm-up/measurement; the workload is unchanged).
@@ -73,5 +78,30 @@ fn bench_hold(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(queue, bench_push_pop_mixed, bench_hold);
+fn bench_front_loaded_ties(c: &mut Criterion) {
+    const LANES: u64 = 2_048;
+    const SECONDS: u64 = 16;
+    c.bench_function("calendar_front_loaded_ties", |b| {
+        b.iter(|| {
+            let mut q: CalendarQueue<(SimTime, u64), u64> = CalendarQueue::new();
+            for sec in 0..SECONDS {
+                for lane in 0..LANES {
+                    q.push((SimTime::from_secs(black_box(sec)), lane), lane);
+                }
+            }
+            let mut sum = 0u64;
+            while let Some((_, v)) = q.pop() {
+                sum = sum.wrapping_add(v);
+            }
+            sum
+        })
+    });
+}
+
+criterion_group!(
+    queue,
+    bench_push_pop_mixed,
+    bench_hold,
+    bench_front_loaded_ties
+);
 criterion_main!(queue);

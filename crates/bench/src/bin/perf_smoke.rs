@@ -131,10 +131,12 @@ fn measure_swarm_events_per_sec(shards: u32) -> f64 {
 
 /// Per-phase breakdown of the same 256-device workload, run once with
 /// profiling enabled: wall-clock per engine phase (shard, merge, hub)
-/// plus the deterministic operation counters (calendar-queue ops, RNG
-/// draws, merged elements, exchanged effects). The counters are exact,
-/// so a >25% jump in any of them is an algorithmic regression, not
-/// timer noise.
+/// plus the deterministic operation counters (calendar-queue ops and
+/// rebuild work, RNG draws, merged elements, exchanged effects). Its
+/// arrivals are the whole-second capture bursts every drone mission
+/// submits, so rebuild thrash on tie bursts shows here. The counters are
+/// exact, so a >25% jump in any of them is an algorithmic regression,
+/// not timer noise.
 fn measure_phase_breakdown() -> hivemind_core::engine::PhaseBreakdown {
     let mut cfg = EngineConfig::testbed(Platform::HiveMind);
     cfg.devices = 256;
@@ -259,13 +261,14 @@ fn main() {
     println!("  des_events_per_sec: {events_per_sec:.0}");
 
     println!("perf_smoke: measuring sharded swarm-engine throughput...");
-    let swarm_shards = std::thread::available_parallelism()
+    // One shard per core: the sharded rate and the core count it ran on.
+    let nproc = std::thread::available_parallelism()
         .map(|p| p.get() as u32)
         .unwrap_or(1);
     let swarm_single = measure_swarm_events_per_sec(1);
-    let swarm_sharded = measure_swarm_events_per_sec(swarm_shards);
+    let swarm_sharded = measure_swarm_events_per_sec(nproc);
     println!("  swarm_events_per_sec (1 shard): {swarm_single:.0}");
-    println!("  swarm_events_per_sec_sharded ({swarm_shards} shards): {swarm_sharded:.0}");
+    println!("  swarm_events_per_sec_sharded ({nproc} shards): {swarm_sharded:.0}");
 
     println!("perf_smoke: profiling the per-phase breakdown...");
     let bd = measure_phase_breakdown();
@@ -276,8 +279,14 @@ fn main() {
         bd.hub_ns as f64 / 1e6
     );
     println!(
-        "  counters: {} queue ops, {} rng draws, {} merged, {} exchanged over {} epochs",
-        bd.queue_ops, bd.rng_draws, bd.merge_elems, bd.exchange_effects, bd.exchange_epochs
+        "  counters: {} queue ops ({} rebuild work), {} rng draws, {} merged, {} exchanged \
+         over {} epochs",
+        bd.queue_ops,
+        bd.queue_rebuild_work,
+        bd.rng_draws,
+        bd.merge_elems,
+        bd.exchange_effects,
+        bd.exchange_epochs
     );
 
     let fig17_100k = cli.full().then(|| {
@@ -311,12 +320,18 @@ fn main() {
         json,
         "  \"swarm_events_per_sec_sharded\": {swarm_sharded:.0},"
     );
-    let _ = writeln!(json, "  \"swarm_shards\": {swarm_shards},");
+    let _ = writeln!(json, "  \"swarm_shards\": {nproc},");
+    let _ = writeln!(json, "  \"nproc\": {nproc},");
     json.push_str("  \"phase_breakdown\": {\n");
     let _ = writeln!(json, "    \"shard_ms\": {:.1},", bd.shard_ns as f64 / 1e6);
     let _ = writeln!(json, "    \"merge_ms\": {:.1},", bd.merge_ns as f64 / 1e6);
     let _ = writeln!(json, "    \"hub_ms\": {:.1},", bd.hub_ns as f64 / 1e6);
     let _ = writeln!(json, "    \"queue_ops\": {},", bd.queue_ops);
+    let _ = writeln!(
+        json,
+        "    \"queue_rebuild_work\": {},",
+        bd.queue_rebuild_work
+    );
     let _ = writeln!(json, "    \"rng_draws\": {},", bd.rng_draws);
     let _ = writeln!(json, "    \"merge_elems\": {},", bd.merge_elems);
     let _ = writeln!(json, "    \"exchange_effects\": {},", bd.exchange_effects);
@@ -367,7 +382,7 @@ fn main() {
         // comparable core count — otherwise a 1-core CI runner would
         // "regress" against a many-core dev box.
         if let Some(base_shards) = baseline_value(&baseline, "swarm_shards") {
-            if base_shards as u32 == swarm_shards {
+            if base_shards as u32 == nproc {
                 if let Some(base) = baseline_value(&baseline, "swarm_events_per_sec_sharded") {
                     if swarm_sharded < base / REGRESSION_RATIO {
                         failures.push(format!(
@@ -399,6 +414,7 @@ fn main() {
         }
         let phase_counts = [
             ("queue_ops", bd.queue_ops),
+            ("queue_rebuild_work", bd.queue_rebuild_work),
             ("rng_draws", bd.rng_draws),
             ("merge_elems", bd.merge_elems),
             ("exchange_effects", bd.exchange_effects),

@@ -471,12 +471,12 @@ impl Shard {
 /// Per-phase cost breakdown of a run, for profiling harnesses
 /// (`perf_smoke`, `HIVEMIND_PROFILE=1`).
 ///
-/// The operation counters (`queue_ops`, `rng_draws`, `merge_elems`,
-/// `exchange_effects`) are exact and deterministic — they count the same
-/// way on every machine and never feed back into scheduling. The
-/// `*_ns` wall-clock timers are only accumulated while profiling is
-/// enabled ([`Engine::enable_profiling`] or `HIVEMIND_PROFILE=1`) and
-/// vary run to run.
+/// The operation counters (`queue_ops`, `queue_rebuild_work`,
+/// `rng_draws`, `merge_elems`, `exchange_effects`) are exact and
+/// deterministic — they count the same way on every machine and never
+/// feed back into scheduling. The `*_ns` wall-clock timers are only
+/// accumulated while profiling is enabled ([`Engine::enable_profiling`]
+/// or `HIVEMIND_PROFILE=1`) and vary run to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Wall nanoseconds inside the parallel shard phase.
@@ -488,6 +488,9 @@ pub struct PhaseBreakdown {
     /// Calendar-queue pushes + pops across the hub action queue and
     /// every shard's action and wake queues.
     pub queue_ops: u64,
+    /// Calendar-queue rebuild work (entries redistributed + bucket
+    /// headers visited) across the same queues.
+    pub queue_rebuild_work: u64,
     /// Service/cost sampling calls drawn from RNG lanes (hub and shard).
     pub rng_draws: u64,
     /// Elements folded through the k-way exchange merge at barriers
@@ -966,6 +969,12 @@ impl Engine {
                 .shards
                 .iter()
                 .map(|s| s.actions.ops() + s.wake.ops())
+                .sum::<u64>();
+        b.queue_rebuild_work = self.actions.rebuild_work()
+            + self
+                .shards
+                .iter()
+                .map(|s| s.actions.rebuild_work() + s.wake.rebuild_work())
                 .sum::<u64>();
         b.rng_draws = self.rng_draws + self.shards.iter().map(|s| s.rng_draws).sum::<u64>();
         b

@@ -30,7 +30,18 @@
 //!   (grow at load > 2, shrink at load < ⅛), so both a 2-event ping-pong
 //!   and a 6M-entry capture backlog get near-ideal bucket occupancy. A
 //!   sparse-tail fallback (one full lap without a hit → direct search over
-//!   bucket minima) bounds the worst case for any width mismatch.
+//!   bucket minima) bounds the worst case for any width mismatch. Two
+//!   invariants keep the adaptation itself cheap:
+//!   - *Ties carry no width evidence.* Pops that never advanced virtual
+//!     time since the last rebuild (a same-instant capture burst) yield no
+//!     gap estimate, so the width stays put instead of collapsing to 1 ns
+//!     and bouncing back once the burst ends.
+//!   - *Rebuild work is amortized O(1).* Every rebuild costs O(entries +
+//!     buckets) and is counted in [`CalendarQueue::rebuild_work`]. Size
+//!     rebuilds pay for themselves by the doubling argument; a width-drift
+//!     rebuild runs only while the lifetime total, itself included, stays
+//!     within [`REBUILD_BUDGET`] × [`CalendarQueue::ops`]. No push/pop
+//!     pattern can make rebuilding dominate the queue's cost.
 
 use std::collections::VecDeque;
 
@@ -93,6 +104,18 @@ const DRIFT_SHIFT: u32 = 5;
 /// Drift checks run every `DRIFT_CHECK_MASK + 1` pops (the check costs a
 /// division, which would be measurable at nine-digit pop rates).
 const DRIFT_CHECK_MASK: u64 = 0xFF;
+/// Rebuild work (entries moved + bucket headers visited) the queue may
+/// spend per push/pop. A width-drift rebuild runs only if lifetime
+/// [`CalendarQueue::rebuild_work`] including it stays within this many
+/// times [`CalendarQueue::ops`]. Size rebuilds alone spend at most 7 per
+/// operation (a rebuild sizes the calendar to its population, and the
+/// load thresholds sit far enough from that size that the operations
+/// crossing one pay for the next), plus a one-off for a queue pre-sized
+/// by `with_capacity` or emptied by `clear`. So the budget still lets the
+/// drift check widen the buckets right after any front-loaded backlog,
+/// while a pattern that keeps flipping the estimated width can no longer
+/// redistribute the whole backlog every few hundred pops.
+const REBUILD_BUDGET: u64 = 16;
 /// Capacity classes in the spare-buffer pool (`floor(log2(capacity))`,
 /// saturated into the top class). 32 covers any realistic ring buffer.
 const POOL_CLASSES: usize = 32;
@@ -145,6 +168,13 @@ pub struct CalendarQueue<K, V> {
     /// Lifetime push+pop count (profiling breakdowns read this; it never
     /// feeds scheduling decisions).
     ops: u64,
+    /// Lifetime rebuild work: entries redistributed plus bucket headers
+    /// visited, summed over every rebuild. Gates drift rebuilds against
+    /// [`REBUILD_BUDGET`]; never affects pop order.
+    rebuild_work: u64,
+    /// Buckets visited by `scan_min`, for the cost regression tests.
+    #[cfg(test)]
+    scan_steps: u64,
     /// Rebuild scratch, retained across rebuilds so redistribution reuses
     /// one high-water buffer instead of allocating per resize.
     spill: Vec<(K, V)>,
@@ -190,6 +220,9 @@ impl<K: CalendarKey, V> CalendarQueue<K, V> {
             anchor_pop_ns: 0,
             pops_since_rebuild: 0,
             ops: 0,
+            rebuild_work: 0,
+            #[cfg(test)]
+            scan_steps: 0,
             spill: Vec::new(),
             pool: std::array::from_fn(|_| Vec::new()),
             pool_mask: 0,
@@ -213,6 +246,13 @@ impl<K: CalendarKey, V> CalendarQueue<K, V> {
     /// Lifetime push+pop operation count, for profiling breakdowns.
     pub fn ops(&self) -> u64 {
         self.ops
+    }
+
+    /// Lifetime rebuild work (entries redistributed plus bucket headers
+    /// visited, over every resize and width change), for profiling
+    /// breakdowns. Stays within a small constant times [`Self::ops`].
+    pub fn rebuild_work(&self) -> u64 {
+        self.rebuild_work
     }
 
     /// The minimum key without removing it. O(1), `&self`.
@@ -349,7 +389,9 @@ impl<K: CalendarKey, V> CalendarQueue<K, V> {
             self.rebuild();
         } else if self.pops_since_rebuild & DRIFT_CHECK_MASK == 0 {
             if let Some(target) = self.observed_shift() {
-                if target.abs_diff(self.shift) >= DRIFT_SHIFT {
+                if target.abs_diff(self.shift) >= DRIFT_SHIFT
+                    && self.rebuild_work + self.rebuild_cost() <= REBUILD_BUDGET * self.ops
+                {
                     self.rebuild();
                 }
             }
@@ -358,12 +400,17 @@ impl<K: CalendarKey, V> CalendarQueue<K, V> {
     }
 
     /// The bucket-width shift matching the observed mean pop gap, when
-    /// enough pops have been seen since the last rebuild to trust it.
+    /// enough pops have been seen since the last rebuild to trust it and
+    /// they advanced virtual time: same-instant pops say nothing about
+    /// the gap between instants, so a tie burst keeps the current width.
     fn observed_shift(&self) -> Option<u32> {
         if self.pops_since_rebuild < REBUILD_MIN_POPS {
             return None;
         }
         let span = self.last_pop_ns.saturating_sub(self.anchor_pop_ns);
+        if span == 0 {
+            return None;
+        }
         let avg = (span / self.pops_since_rebuild).clamp(1, 1 << MAX_SHIFT);
         Some(avg.next_power_of_two().trailing_zeros().min(MAX_SHIFT))
     }
@@ -376,9 +423,13 @@ impl<K: CalendarKey, V> CalendarQueue<K, V> {
         let width = 1u64 << self.shift;
         let mut b = self.bucket_index(self.cursor);
         let mut wend = self.cursor.saturating_add(width);
-        for _ in 0..=self.mask {
+        for _step in 0..=self.mask {
             if let Some(&(k, _)) = self.buckets[b].front() {
                 if k.time().as_nanos() < wend {
+                    #[cfg(test)]
+                    {
+                        self.scan_steps += _step as u64 + 1;
+                    }
                     self.cursor = self.align(k.time().as_nanos());
                     return (k, b);
                 }
@@ -398,22 +449,40 @@ impl<K: CalendarKey, V> CalendarQueue<K, V> {
                 }
             }
         }
+        #[cfg(test)]
+        {
+            // The lap plus the search (a lap cut short at the end of
+            // time counts in full).
+            self.scan_steps += 2 * (self.mask as u64 + 1);
+        }
         let (k, i) = best.expect("len > 0 implies some bucket minimum");
         self.cursor = self.align(k.time().as_nanos());
         (k, i)
+    }
+
+    /// Bucket count a rebuild sizes the calendar to.
+    fn target_buckets(&self) -> usize {
+        self.len.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS)
+    }
+
+    /// Work a rebuild would do now: every stored entry moved, every
+    /// active bucket drained, every target bucket counted.
+    fn rebuild_cost(&self) -> u64 {
+        (self.len + self.mask + 1 + self.target_buckets()) as u64
     }
 
     /// Resizes the calendar to match the current population and, when
     /// enough pops have been observed, re-derives the bucket width from
     /// the mean pop gap. Preserves FIFO order among equal keys.
     fn rebuild(&mut self) {
+        self.rebuild_work += self.rebuild_cost();
         if let Some(shift) = self.observed_shift() {
             self.shift = shift;
         }
         self.anchor_pop_ns = self.last_pop_ns;
         self.pops_since_rebuild = 0;
 
-        let nb = self.len.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
+        let nb = self.target_buckets();
         debug_assert!(self.spill.is_empty());
         for i in 0..=self.mask {
             let bucket = &mut self.buckets[i];
@@ -655,6 +724,70 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 50_000);
+    }
+
+    #[test]
+    fn ties_carry_no_width_evidence() {
+        // A rebuild lands inside a same-instant burst, so every later
+        // drift window spans zero virtual time. That is no evidence for
+        // 1 ns buckets: the width must stay and nothing may rebuild.
+        let mut q = Q::new();
+        let t = SimTime::from_secs(3);
+        let mut seq = 0u64;
+        for _ in 0..1_000 {
+            q.push((t, seq), seq);
+            seq += 1;
+        }
+        q.pop().expect("burst");
+        for _ in 0..1_100 {
+            q.push((t, seq), seq);
+            seq += 1;
+        }
+        let (shift, work) = (q.shift, q.rebuild_work());
+        for _ in 0..1_500 {
+            q.pop().expect("burst");
+        }
+        assert_eq!(q.shift, shift, "a tie window kept the bucket width");
+        assert_eq!(q.rebuild_work(), work, "a tie window triggered no rebuild");
+    }
+
+    #[test]
+    fn front_loaded_tie_bursts_cost_amortized_o1() {
+        // The drone-mission capture pattern: every lane captures at each
+        // whole second, the whole schedule is pushed before any pop, then
+        // it drains. Order alone would not notice rebuild thrash, so the
+        // queue's own cost counters are bounded per operation too.
+        const LANES: u64 = 2_048;
+        const SECONDS: u64 = 64;
+        let mut q = Q::new();
+        for sec in 0..SECONDS {
+            for lane in 0..LANES {
+                q.push((SimTime::from_secs(sec), lane), lane);
+            }
+        }
+        let mut popped = 0u64;
+        let mut last = None;
+        while let Some((k, _)) = q.pop() {
+            assert!(last.is_none_or(|p| p <= k), "heap order");
+            last = Some(k);
+            popped += 1;
+        }
+        assert_eq!(popped, LANES * SECONDS);
+        let ops = q.ops();
+        assert_eq!(ops, 2 * popped);
+        // Measured: ~2.5 rebuild units and ~1.5 scan steps per operation.
+        // Estimating 1 ns buckets from zero-span tie windows costs ~117
+        // and ~43.
+        assert!(
+            q.rebuild_work() <= 4 * ops,
+            "rebuilds did {} work for {ops} ops",
+            q.rebuild_work()
+        );
+        assert!(
+            q.scan_steps <= 4 * ops,
+            "bucket scans took {} steps for {ops} ops",
+            q.scan_steps
+        );
     }
 
     #[test]

@@ -401,5 +401,7 @@ proptest! {
             prop_assert_eq!(k, want);
         }
         prop_assert!(heap.is_empty());
+        // Rebuilds are amortized O(1) under any push/pop pattern.
+        prop_assert!(cal.rebuild_work() <= 16 * cal.ops());
     }
 }
