@@ -132,7 +132,8 @@ fn measure_swarm_events_per_sec(shards: u32) -> f64 {
 /// Per-phase breakdown of the same 256-device workload, run once with
 /// profiling enabled: wall-clock per engine phase (shard, merge, hub)
 /// plus the deterministic operation counters (calendar-queue ops and
-/// rebuild work, RNG draws, merged elements, exchanged effects). Its
+/// rebuild work, fabric hop completions, cluster events, RNG draws,
+/// merged elements, exchanged effects). Its
 /// arrivals are the whole-second capture bursts every drone mission
 /// submits, so rebuild thrash on tie bursts shows here. The counters are
 /// exact, so a >25% jump in any of them is an algorithmic regression,
@@ -279,10 +280,12 @@ fn main() {
         bd.hub_ns as f64 / 1e6
     );
     println!(
-        "  counters: {} queue ops ({} rebuild work), {} rng draws, {} merged, {} exchanged \
-         over {} epochs",
+        "  counters: {} queue ops ({} rebuild work), {} fabric hops, {} cluster events, \
+         {} rng draws, {} merged, {} exchanged over {} epochs",
         bd.queue_ops,
         bd.queue_rebuild_work,
+        bd.fabric_hops,
+        bd.cluster_events,
         bd.rng_draws,
         bd.merge_elems,
         bd.exchange_effects,
@@ -332,6 +335,8 @@ fn main() {
         "    \"queue_rebuild_work\": {},",
         bd.queue_rebuild_work
     );
+    let _ = writeln!(json, "    \"fabric_hops\": {},", bd.fabric_hops);
+    let _ = writeln!(json, "    \"cluster_events\": {},", bd.cluster_events);
     let _ = writeln!(json, "    \"rng_draws\": {},", bd.rng_draws);
     let _ = writeln!(json, "    \"merge_elems\": {},", bd.merge_elems);
     let _ = writeln!(json, "    \"exchange_effects\": {},", bd.exchange_effects);
@@ -415,6 +420,8 @@ fn main() {
         let phase_counts = [
             ("queue_ops", bd.queue_ops),
             ("queue_rebuild_work", bd.queue_rebuild_work),
+            ("fabric_hops", bd.fabric_hops),
+            ("cluster_events", bd.cluster_events),
             ("rng_draws", bd.rng_draws),
             ("merge_elems", bd.merge_elems),
             ("exchange_effects", bd.exchange_effects),

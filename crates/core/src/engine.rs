@@ -472,7 +472,8 @@ impl Shard {
 /// (`perf_smoke`, `HIVEMIND_PROFILE=1`).
 ///
 /// The operation counters (`queue_ops`, `queue_rebuild_work`,
-/// `rng_draws`, `merge_elems`, `exchange_effects`) are exact and
+/// `fabric_hops`, `cluster_events`, `rng_draws`, `merge_elems`,
+/// `exchange_effects`) are exact and
 /// deterministic — they count the same way on every machine and never
 /// feed back into scheduling. The `*_ns` wall-clock timers are only
 /// accumulated while profiling is enabled ([`Engine::enable_profiling`]
@@ -491,6 +492,11 @@ pub struct PhaseBreakdown {
     /// Calendar-queue rebuild work (entries redistributed + bucket
     /// headers visited) across the same queues.
     pub queue_rebuild_work: u64,
+    /// Hop completions the network fabric processed (one per link a
+    /// transfer finished crossing).
+    pub fabric_hops: u64,
+    /// Internal events the FaaS cluster popped (zero without a cluster).
+    pub cluster_events: u64,
     /// Service/cost sampling calls drawn from RNG lanes (hub and shard).
     pub rng_draws: u64,
     /// Elements folded through the k-way exchange merge at barriers
@@ -976,6 +982,8 @@ impl Engine {
                 .iter()
                 .map(|s| s.actions.rebuild_work() + s.wake.rebuild_work())
                 .sum::<u64>();
+        b.fabric_hops = self.fabric.hops_completed();
+        b.cluster_events = self.cluster.as_ref().map_or(0, Cluster::events_popped);
         b.rng_draws = self.rng_draws + self.shards.iter().map(|s| s.rng_draws).sum::<u64>();
         b
     }

@@ -459,38 +459,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Kills a device `at_secs` into the mission (missions only).
-    #[deprecated(note = "use `.plan(RunPlan::new().fail_device(..))` — \
-                         planes now live on the RunPlan builder")]
-    pub fn fail_device(mut self, at_secs: f64, device: u32) -> Self {
-        self.plan.device_failures.push((at_secs, device));
-        self
-    }
-
-    /// Attaches a fault-injection plan.
-    #[deprecated(note = "use `.plan(RunPlan::new().faults(..))` — \
-                         planes now live on the RunPlan builder")]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.plan.faults = plan;
-        self
-    }
-
-    /// Attaches an overload-control policy.
-    #[deprecated(note = "use `.plan(RunPlan::new().overload(..))` — \
-                         planes now live on the RunPlan builder")]
-    pub fn overload(mut self, policy: OverloadPolicy) -> Self {
-        self.plan.overload = policy;
-        self
-    }
-
-    /// Enables (or disables) structured event tracing for the run.
-    #[deprecated(note = "use `.plan(RunPlan::new().trace(..))` — \
-                         planes now live on the RunPlan builder")]
-    pub fn trace(mut self, on: bool) -> Self {
-        self.plan.trace = on;
-        self
-    }
-
     /// The workload's time horizon in seconds (single-app duration, or
     /// the mission timeout).
     pub fn horizon_secs(&self) -> f64 {
@@ -1068,32 +1036,6 @@ mod tests {
             }
             other => panic!("expected InvalidDisconnectPolicy, got {other:?}"),
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_forward_to_the_plan() {
-        // External callers still on the pre-RunPlan surface must land on
-        // the exact same plan the builder would produce.
-        let shimmed = ExperimentConfig::single_app(App::FaceRecognition)
-            .fail_device(20.0, 5)
-            .faults(FaultPlan::default().packet_loss(0.05))
-            .overload(OverloadPolicy::default().per_app_limit(8))
-            .trace(true);
-        let planned = ExperimentConfig::single_app(App::FaceRecognition).plan(
-            RunPlan::new()
-                .fail_device(20.0, 5)
-                .faults(FaultPlan::default().packet_loss(0.05))
-                .overload(OverloadPolicy::default().per_app_limit(8))
-                .trace(true),
-        );
-        assert_eq!(
-            format!("{:?}", shimmed.plan),
-            format!("{:?}", planned.plan),
-            "shims and builder must agree"
-        );
-        assert!(shimmed.plan.is_active());
-        shimmed.validate().expect("shimmed plan validates");
     }
 
     #[test]

@@ -268,6 +268,9 @@ pub struct Cluster {
     active_series: TimeSeries,
     stragglers_mitigated: u64,
     faults_recovered: u64,
+    /// Internal events popped (dead letters included), an exact work
+    /// counter.
+    events_popped: u64,
     last_event_time: SimTime,
     controller_gate: RateGate,
     tracer: TraceHandle,
@@ -378,6 +381,7 @@ impl Cluster {
             active_series: TimeSeries::new(),
             stragglers_mitigated: 0,
             faults_recovered: 0,
+            events_popped: 0,
             last_event_time: SimTime::ZERO,
             tracer: TraceHandle::disabled(),
             down_until: vec![SimTime::ZERO; servers],
@@ -1277,6 +1281,7 @@ impl Cluster {
             let Reverse((t, _, ev)) = self.heap.pop().expect("peeked event vanished");
             debug_assert!(t >= self.last_event_time);
             self.last_event_time = t;
+            self.events_popped += 1;
             match ev {
                 // Events of a crash-aborted invocation are dead letters:
                 // the clone resubmitted at crash time carries on instead.
@@ -1331,6 +1336,13 @@ impl Cluster {
     /// Number of straggler respawns that won.
     pub fn stragglers_mitigated(&self) -> u64 {
         self.stragglers_mitigated
+    }
+
+    /// Internal events processed so far (admissions, data stages,
+    /// completions, crashes and recoveries, dead letters included).
+    /// Exact and deterministic (a work counter for profiling harnesses).
+    pub fn events_popped(&self) -> u64 {
+        self.events_popped
     }
 
     /// Number of invocations that recovered from injected faults.

@@ -8,8 +8,6 @@
 //! empirically chosen 10–30 s window (Sec. 4.3) so short-lived edge tasks
 //! mostly hit warm containers.
 
-use std::collections::{BTreeMap, HashMap};
-
 use hivemind_sim::dist::Dist;
 use hivemind_sim::time::{SimDuration, SimTime};
 use rand::Rng;
@@ -78,20 +76,40 @@ impl ContainerParams {
 #[derive(Debug, Clone, Default)]
 pub struct WarmPool {
     params: ContainerParams,
-    /// (server, app) -> expiry times of idle containers. Entries are
-    /// never removed once created — an emptied slot keeps its `Vec`'s
-    /// capacity — so steady-state park/take cycles stay off the
-    /// allocator.
-    idle: HashMap<(u32, AppId), Vec<SimTime>>,
-    /// app -> server -> latest idle-container expiry. Mirrors `idle` so
-    /// `warm_server` can walk servers in ascending id order and stop at
-    /// the first live one instead of scanning the whole pool. A server
-    /// whose containers are all gone keeps its entry as a tombstone with
-    /// a past expiry (readers check `expiry > now` anyway); removing and
-    /// re-inserting would churn tree nodes on every park/take cycle.
-    by_app: HashMap<AppId, BTreeMap<u32, SimTime>>,
+    /// Per-app pools, indexed by `AppId` (ids are dense registration
+    /// indices).
+    apps: Vec<AppPool>,
     warm_hits: u64,
     cold_misses: u64,
+    /// Bitset words `warm_server` has examined (cost tests only).
+    #[cfg(test)]
+    scan_words: std::cell::Cell<u64>,
+}
+
+/// One app's idle containers, dense by server id. Slots are never
+/// shrunk — an emptied server keeps its `Vec`'s capacity — so
+/// steady-state park/take cycles stay off the allocator.
+#[derive(Debug, Clone, Default)]
+struct AppPool {
+    /// server -> expiry times of its idle containers.
+    idle: Vec<Vec<SimTime>>,
+    /// server -> latest expiry among `idle[server]` (meaningful only
+    /// while the server's `live` bit is set).
+    latest: Vec<SimTime>,
+    /// Bit `s` is set iff `idle[s]` is non-empty, so `warm_server` skips
+    /// 64 empty servers per word instead of walking them one by one.
+    live: Vec<u64>,
+}
+
+impl AppPool {
+    fn set_live(&mut self, server: usize, on: bool) {
+        let (word, bit) = (server / 64, 1u64 << (server % 64));
+        if on {
+            self.live[word] |= bit;
+        } else {
+            self.live[word] &= !bit;
+        }
+    }
 }
 
 impl Default for ContainerParams {
@@ -105,10 +123,7 @@ impl WarmPool {
     pub fn new(params: ContainerParams) -> Self {
         WarmPool {
             params,
-            idle: HashMap::new(),
-            by_app: HashMap::new(),
-            warm_hits: 0,
-            cold_misses: 0,
+            ..WarmPool::default()
         }
     }
 
@@ -121,28 +136,40 @@ impl WarmPool {
     /// reuse until the keep-alive window expires.
     pub fn park(&mut self, now: SimTime, server: u32, app: AppId) {
         let expiry = now + self.params.keep_alive;
-        self.idle.entry((server, app)).or_default().push(expiry);
-        let slot = self
-            .by_app
-            .entry(app)
-            .or_default()
-            .entry(server)
-            .or_insert(expiry);
-        *slot = (*slot).max(expiry);
+        let a = app.0 as usize;
+        if self.apps.len() <= a {
+            self.apps.resize_with(a + 1, AppPool::default);
+        }
+        let pool = &mut self.apps[a];
+        let s = server as usize;
+        if pool.idle.len() <= s {
+            pool.idle.resize_with(s + 1, Vec::new);
+            pool.latest.resize(s + 1, SimTime::ZERO);
+            pool.live.resize(s / 64 + 1, 0);
+        }
+        let expiries = &mut pool.idle[s];
+        pool.latest[s] = if expiries.is_empty() {
+            expiry
+        } else {
+            pool.latest[s].max(expiry)
+        };
+        expiries.push(expiry);
+        pool.set_live(s, true);
     }
 
     /// Attempts to take a warm container for `app` on `server`. Returns
     /// `true` on a warm hit (and consumes the container).
     pub fn try_take(&mut self, now: SimTime, server: u32, app: AppId) -> bool {
+        let s = server as usize;
         let mut hit = false;
-        if let Some(expiries) = self.idle.get_mut(&(server, app)) {
-            expiries.retain(|&e| e > now);
-            hit = expiries.pop().is_some();
-            // `None` leaves a tombstone: `now` is never `> now`, so the
-            // server stops being offered until the next park refreshes it.
-            let latest = expiries.iter().copied().max().unwrap_or(now);
-            if let Some(slot) = self.by_app.get_mut(&app).and_then(|m| m.get_mut(&server)) {
-                *slot = latest;
+        if let Some(pool) = self.apps.get_mut(app.0 as usize) {
+            if let Some(expiries) = pool.idle.get_mut(s) {
+                expiries.retain(|&e| e > now);
+                hit = expiries.pop().is_some();
+                match expiries.iter().copied().max() {
+                    Some(latest) => pool.latest[s] = latest,
+                    None => pool.set_live(s, false),
+                }
             }
         }
         if hit {
@@ -156,30 +183,37 @@ impl WarmPool {
     /// Drops every idle container on `server` (the server crashed; its
     /// containers died with it).
     pub fn flush_server(&mut self, server: u32) {
-        for (&(s, _), expiries) in self.idle.iter_mut() {
-            if s == server {
+        let s = server as usize;
+        for pool in &mut self.apps {
+            if let Some(expiries) = pool.idle.get_mut(s) {
                 expiries.clear();
-            }
-        }
-        for servers in self.by_app.values_mut() {
-            if let Some(slot) = servers.get_mut(&server) {
-                *slot = SimTime::ZERO;
+                pool.set_live(s, false);
             }
         }
     }
 
     /// Any server holding a warm container for `app` at `now`, if one
     /// exists (used by schedulers to steer invocations toward warm nodes).
+    ///
+    /// Returns the lowest such server id: the first live bit, in
+    /// ascending order, whose latest expiry is still ahead of `now`.
+    /// Servers whose containers all expired untaken keep their bit (they
+    /// are reaped by `try_take`/`flush_server`) and are skipped here.
     pub fn warm_server(&self, now: SimTime, app: AppId) -> Option<u32> {
-        // Ascending-id walk over the per-app index; the first entry whose
-        // latest expiry is still live is exactly the `min` the old
-        // whole-pool scan produced. Entries that expired without being
-        // taken are skipped here and reaped by `try_take`/`flush_server`.
-        self.by_app
-            .get(&app)?
-            .iter()
-            .find(|&(_, &expiry)| expiry > now)
-            .map(|(&s, _)| s)
+        let pool = self.apps.get(app.0 as usize)?;
+        for (w, &word) in pool.live.iter().enumerate() {
+            #[cfg(test)]
+            self.scan_words.set(self.scan_words.get() + 1);
+            let mut bits = word;
+            while bits != 0 {
+                let s = w * 64 + bits.trailing_zeros() as usize;
+                if pool.latest[s] > now {
+                    return Some(s as u32);
+                }
+                bits &= bits - 1;
+            }
+        }
+        None
     }
 
     /// Samples the instantiation latency for a hit/miss.
@@ -198,8 +232,9 @@ impl WarmPool {
 
     /// Number of currently idle (non-expired) containers.
     pub fn idle_count(&self, now: SimTime) -> usize {
-        self.idle
-            .values()
+        self.apps
+            .iter()
+            .flat_map(|pool| &pool.idle)
             .map(|v| v.iter().filter(|&&e| e > now).count())
             .sum()
     }
@@ -209,6 +244,8 @@ impl WarmPool {
 mod tests {
     use super::*;
     use hivemind_sim::rng::RngForge;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn warm_within_keepalive_cold_after() {
@@ -276,6 +313,31 @@ mod tests {
         assert!((10.0..=30.0).contains(&ka));
     }
 
+    /// After 10k park/take cycles that leave nearly every server empty,
+    /// `warm_server` still examines at most one bitset word per 64
+    /// servers plus one — never a per-server walk over drained servers.
+    #[test]
+    fn warm_server_scans_words_not_servers() {
+        const SERVERS: u32 = 1536;
+        let mut p = WarmPool::new(ContainerParams::hivemind());
+        let app = AppId(0);
+        p.park(SimTime::ZERO, SERVERS - 1, app);
+        let max_words = 1 + SERVERS as u64 / 64;
+        for i in 0..10_000u64 {
+            let now = SimTime::from_nanos(i * 1_000);
+            let server = (i * 7919 % (SERVERS as u64 - 1)) as u32;
+            p.park(now, server, app);
+            assert!(p.try_take(now, server, app));
+            p.scan_words.set(0);
+            assert_eq!(p.warm_server(now, app), Some(SERVERS - 1));
+            assert!(
+                p.scan_words.get() <= max_words,
+                "scanned {} words, bound {max_words}",
+                p.scan_words.get()
+            );
+        }
+    }
+
     #[test]
     fn idle_count_respects_expiry() {
         let mut p = WarmPool::new(ContainerParams::hivemind());
@@ -283,5 +345,51 @@ mod tests {
         p.park(SimTime::ZERO, 1, AppId(1));
         assert_eq!(p.idle_count(SimTime::from_secs(1)), 2);
         assert_eq!(p.idle_count(SimTime::from_secs(25)), 0);
+    }
+
+    proptest! {
+        /// `warm_server` equals a brute-force search for the lowest
+        /// server holding an idle container of the app that is still
+        /// live, under any mix of parks, takes, crash flushes and clock
+        /// advances.
+        #[test]
+        fn warm_server_matches_brute_force(
+            ops in prop::collection::vec((0u32..11, 0u32..150, 0u16..3, 0u64..8_000), 1..400),
+        ) {
+            let mut pool = WarmPool::new(ContainerParams::hivemind());
+            let keep_alive = pool.params().keep_alive;
+            // (server, app) -> expiries, in park order.
+            let mut reference: BTreeMap<(u32, u16), Vec<SimTime>> = BTreeMap::new();
+            let mut now = SimTime::ZERO;
+            for (kind, s, a, ms) in ops {
+                match kind {
+                    // Park : take : flush : advance = 4 : 4 : 1 : 2.
+                    0..=3 => {
+                        pool.park(now, s, AppId(a));
+                        reference.entry((s, a)).or_default().push(now + keep_alive);
+                    }
+                    4..=7 => {
+                        let hit = reference.get_mut(&(s, a)).is_some_and(|v| {
+                            v.retain(|&e| e > now);
+                            v.pop().is_some()
+                        });
+                        prop_assert_eq!(pool.try_take(now, s, AppId(a)), hit);
+                    }
+                    8 => {
+                        pool.flush_server(s);
+                        reference.retain(|&(rs, _), _| rs != s);
+                    }
+                    _ => now += SimDuration::from_millis(ms),
+                }
+                for a in 0..3u16 {
+                    let brute = reference
+                        .iter()
+                        .filter(|(&(_, ra), v)| ra == a && v.iter().any(|&e| e > now))
+                        .map(|(&(s, _), _)| s)
+                        .min();
+                    prop_assert_eq!(pool.warm_server(now, AppId(a)), brute);
+                }
+            }
+        }
     }
 }

@@ -104,7 +104,9 @@ struct Backpressure {
     holds: u64,
 }
 
-#[derive(Debug, PartialEq, Eq)]
+/// A transfer's progress through the fabric. Lives in the fabric's hop
+/// slab; links and the delayed heap move only its `u32` handle.
+#[derive(Debug)]
 struct HopState {
     id: TransferId,
     tag: u64,
@@ -122,16 +124,18 @@ struct HopState {
 #[derive(Debug)]
 struct Delayed {
     at: SimTime,
+    id: TransferId,
     /// `true` when the delay came from an outage/partition window (the
     /// hold is charged against `hold_bound` and released on re-entry);
     /// `false` for backpressure re-offers and retransmit pauses.
     fault_hold: bool,
-    state: HopState,
+    /// Handle of the transfer's slot in the hop slab.
+    hop: u32,
 }
 
 impl PartialEq for Delayed {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.state.id == other.state.id
+        self.at == other.at && self.id == other.id
     }
 }
 impl Eq for Delayed {}
@@ -142,7 +146,7 @@ impl PartialOrd for Delayed {
 }
 impl Ord for Delayed {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.state.id).cmp(&(other.at, other.state.id))
+        (self.at, self.id).cmp(&(other.at, other.id))
     }
 }
 
@@ -193,7 +197,16 @@ impl Ord for PendingDelivery {
 #[derive(Debug)]
 pub struct Fabric {
     topology: Topology,
-    links: Vec<Link<HopState>>,
+    /// Per-link FIFOs of hop-slab handles.
+    links: Vec<Link<u32>>,
+    /// Hop slab: the state of every transfer still inside the fabric
+    /// (on a link or delayed), addressed by `u32` handle so a hop
+    /// completion moves 4 bytes instead of the whole state. Freed slots
+    /// are recycled through `free_hops`, so steady state never allocates.
+    hops: Vec<HopState>,
+    free_hops: Vec<u32>,
+    /// Hop completions processed (link pops), an exact work counter.
+    hops_completed: u64,
     next_id: u64,
     /// Completed deliveries waiting to be emitted, min-ordered by
     /// `(delivered_at, id)` so draining pops them already chronological.
@@ -202,8 +215,9 @@ pub struct Fabric {
     local_delay: SimDuration,
     edge_meter: Meter,
     total_meter: Meter,
-    /// Conservative wake-up index: `(time, link)` entries pushed at each
-    /// enqueue; entries may be stale (early), never late. Keeps
+    /// Wake-up index: exactly one `(head delivery time, link)` entry per
+    /// non-empty link. A FIFO link's head changes only when it pops or
+    /// when an empty link takes an item, and both re-index it. Keeps
     /// `next_wakeup`/`advance_to` away from O(links) scans so
     /// thousand-device topologies stay fast.
     wake: BinaryHeap<Reverse<(SimTime, u32)>>,
@@ -231,6 +245,9 @@ impl Fabric {
         Fabric {
             topology,
             links,
+            hops: Vec::new(),
+            free_hops: Vec::new(),
+            hops_completed: 0,
             next_id: 0,
             local: BinaryHeap::new(),
             local_delay: SimDuration::from_micros(50),
@@ -346,16 +363,32 @@ impl Fabric {
         } else {
             (now, false)
         };
+        let hop = self.alloc_hop(state);
         if start > now {
             self.delayed.push(Reverse(Delayed {
                 at: start,
+                id,
                 fault_hold,
-                state,
+                hop,
             }));
         } else {
-            self.route(now, state);
+            self.route(now, hop);
         }
         id
+    }
+
+    /// Stores `state` in the hop slab, reusing a freed slot if any.
+    fn alloc_hop(&mut self, state: HopState) -> u32 {
+        match self.free_hops.pop() {
+            Some(h) => {
+                self.hops[h as usize] = state;
+                h
+            }
+            None => {
+                self.hops.push(state);
+                (self.hops.len() - 1) as u32
+            }
+        }
     }
 
     /// Applies the armed fault plan to a wireless-crossing transfer.
@@ -471,7 +504,10 @@ impl Fabric {
         Some((start, fault_hold))
     }
 
-    fn route(&mut self, now: SimTime, mut state: HopState) {
+    /// Moves hop `h` onto its next link, or into the delivery queue once
+    /// its path is done (freeing its slab slot).
+    fn route(&mut self, now: SimTime, h: u32) {
+        let state = &mut self.hops[h as usize];
         if state.next_hop >= state.path.len() {
             self.local.push(Reverse(PendingDelivery(Delivery {
                 id: state.id,
@@ -486,10 +522,10 @@ impl Fabric {
                     now
                 },
             })));
+            self.free_hops.push(h);
             return;
         }
-        let link = state.path[state.next_hop];
-        let idx = link.index();
+        let idx = state.path[state.next_hop].index();
         // Bounded ingress: a transfer about to take its *first* hop onto a
         // link already at the bound is held and re-offered later instead
         // of deepening the queue. Each re-offer re-checks, and time
@@ -514,8 +550,9 @@ impl Fabric {
                         }
                         self.delayed.push(Reverse(Delayed {
                             at: now + bp.cfg.retry_delay,
+                            id: state.id,
                             fault_hold: false,
-                            state,
+                            hop: h,
                         }));
                         return;
                     }
@@ -524,14 +561,15 @@ impl Fabric {
         }
         state.next_hop += 1;
         let bytes = state.bytes;
-        // Only index the link when its head changes: pushing an entry per
-        // enqueue would accumulate thousands of duplicates on a saturated
-        // link, each re-examined on every head completion (quadratic).
-        let prev_head = self.links[idx].next_delivery();
-        self.links[idx].enqueue(now, bytes, state);
-        let new_head = self.links[idx].next_delivery();
-        if new_head != prev_head {
-            if let Some(t) = new_head {
+        // Only index the link when its head changes — with a FIFO link,
+        // only when it was empty. Pushing an entry per enqueue would
+        // accumulate thousands of duplicates on a saturated link, each
+        // re-examined on every head completion (quadratic).
+        let link = &mut self.links[idx];
+        let was_empty = link.load() == 0;
+        link.enqueue(now, bytes, h);
+        if was_empty {
+            if let Some(t) = link.next_delivery() {
                 self.wake.push(Reverse((t, idx as u32)));
             }
         }
@@ -554,10 +592,6 @@ impl Fabric {
 
     /// The earliest instant at which the fabric has a delivery to report or
     /// a hop to advance.
-    ///
-    /// May return a conservatively *early* instant (an index entry made
-    /// stale by FIFO progress); waking then is harmless — `advance_to`
-    /// reconciles against the true link state.
     pub fn next_wakeup(&self) -> Option<SimTime> {
         let link_next = self.wake.peek().map(|Reverse((t, _))| *t);
         let local_next = self.local.peek().map(|Reverse(p)| p.0.delivered_at);
@@ -579,9 +613,9 @@ impl Fabric {
     /// Advances the fabric to `now`, appending all deliveries that
     /// completed at or before `now` to `out` in chronological order.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<Delivery>) {
-        // Process hop completions in global time order (the wake index is
-        // conservative: every pending delivery has an entry at or before
-        // its true time) so FIFO queues see arrivals chronologically.
+        // Process hop completions in global time order (the wake index
+        // holds every link head at its true time) so FIFO queues see
+        // arrivals chronologically.
         // Fault-delayed transfers are released interleaved at their exact
         // instants so link FIFOs still see arrivals in time order.
         loop {
@@ -606,7 +640,7 @@ impl Fabric {
                             }
                         }
                     }
-                    self.route(rt, d.state);
+                    self.route(rt, d.hop);
                     continue;
                 }
             }
@@ -618,27 +652,16 @@ impl Fabric {
             }
             self.wake.pop();
             let idx = idx as usize;
-            match self.links[idx].next_delivery() {
-                // Process only exact matches: a stale entry's true time
-                // might exceed another link's pending head, and handling
-                // it now would break global chronological order.
-                Some(actual) if actual == t => {
-                    let (at, state) = self.links[idx]
-                        .pop_ready(now)
-                        .expect("verified delivery not ready");
-                    if let Some(next) = self.links[idx].next_delivery() {
-                        self.wake.push(Reverse((next, idx as u32)));
-                    }
-                    self.sample_link(at, idx);
-                    self.route(at, state);
-                }
-                Some(actual) => {
-                    // Stale-early entry: requeue at the true time.
-                    debug_assert!(actual > t, "FIFO heads never move earlier");
-                    self.wake.push(Reverse((actual, idx as u32)));
-                }
-                None => {}
+            let (at, hop) = self.links[idx]
+                .pop_ready(now)
+                .expect("indexed link head not due");
+            debug_assert_eq!(at, t, "wake entry must match the link head");
+            self.hops_completed += 1;
+            if let Some(next) = self.links[idx].next_delivery() {
+                self.wake.push(Reverse((next, idx as u32)));
             }
+            self.sample_link(at, idx);
+            self.route(at, hop);
         }
         // Emit due deliveries; the heap pops them in (delivered_at, id)
         // order, so no sort pass and no per-delivery clone.
@@ -651,6 +674,13 @@ impl Fabric {
             };
             out.push(p.0);
         }
+    }
+
+    /// Hop completions processed so far: one per link a transfer
+    /// finished crossing. Exact and deterministic (a work counter for
+    /// profiling harnesses).
+    pub fn hops_completed(&self) -> u64 {
+        self.hops_completed
     }
 
     /// Bytes that crossed the wireless edge↔cloud boundary, total.

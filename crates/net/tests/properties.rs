@@ -1,5 +1,8 @@
 //! Property-based tests for the network substrate.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use hivemind_net::fabric::{Fabric, Transfer};
 use hivemind_net::link::Link;
 use hivemind_net::rpc::RateGate;
@@ -7,7 +10,91 @@ use hivemind_net::topology::{Node, Topology, TopologyParams};
 use hivemind_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
+/// The two-heap link the FIFO [`Link`] replaced, kept as a reference: a
+/// `waiting` heap ordered by `(arrived, seq)` drained into an
+/// `in_flight` heap ordered by `(deliver_at, seq)` on every enqueue.
+struct HeapLink {
+    bytes_per_sec: f64,
+    propagation: SimDuration,
+    busy_until: SimTime,
+    seq: u64,
+    waiting: BinaryHeap<Reverse<(SimTime, u64, u64, u32)>>,
+    in_flight: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+}
+
+impl HeapLink {
+    fn new(bytes_per_sec: f64, propagation: SimDuration) -> Self {
+        HeapLink {
+            bytes_per_sec,
+            propagation,
+            busy_until: SimTime::ZERO,
+            seq: 0,
+            waiting: BinaryHeap::new(),
+            in_flight: BinaryHeap::new(),
+        }
+    }
+
+    fn enqueue(&mut self, now: SimTime, bytes: u64, payload: u32) {
+        self.waiting.push(Reverse((now, self.seq, bytes, payload)));
+        self.seq += 1;
+        while let Some(Reverse((arrived, seq, bytes, payload))) = self.waiting.pop() {
+            let start = self.busy_until.max(arrived);
+            let done = start + SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec);
+            self.busy_until = done;
+            self.in_flight
+                .push(Reverse((done + self.propagation, seq, payload)));
+        }
+    }
+
+    fn pop_ready(&mut self, now: SimTime) -> Option<(SimTime, u32)> {
+        let &Reverse((t, _, _)) = self.in_flight.peek()?;
+        if t > now {
+            return None;
+        }
+        self.in_flight.pop().map(|Reverse((t, _, p))| (t, p))
+    }
+
+    fn load(&self) -> usize {
+        self.waiting.len() + self.in_flight.len()
+    }
+}
+
 proptest! {
+    /// The FIFO link pops exactly what the two-heap reference pops, in
+    /// the same order and at the same instants, under non-monotone
+    /// arrival clocks, zero-byte items and arbitrary capacities.
+    #[test]
+    fn fifo_link_matches_two_heap_reference(
+        steps in prop::collection::vec((any::<bool>(), 0u64..3_000_000, 0u64..400_000), 1..200),
+        bw_kbps in 1.0f64..1e6,
+        prop_us in 0u64..50_000,
+    ) {
+        let bytes_per_sec = bw_kbps * 1e3;
+        let propagation = SimDuration::from_micros(prop_us);
+        let mut fifo: Link<u32> = Link::new(bytes_per_sec, propagation);
+        let mut reference = HeapLink::new(bytes_per_sec, propagation);
+        for (i, &(enqueue, t_us, bytes)) in steps.iter().enumerate() {
+            let now = SimTime::ZERO + SimDuration::from_micros(t_us);
+            if enqueue {
+                // Every tenth item is zero-byte (propagation only).
+                let bytes = if i % 10 == 0 { 0 } else { bytes };
+                fifo.enqueue(now, bytes, i as u32);
+                reference.enqueue(now, bytes, i as u32);
+            } else {
+                prop_assert_eq!(fifo.pop_ready(now), reference.pop_ready(now));
+            }
+            prop_assert_eq!(fifo.load(), reference.load());
+        }
+        loop {
+            let popped = fifo.pop_ready(SimTime::MAX);
+            prop_assert_eq!(popped, reference.pop_ready(SimTime::MAX));
+            prop_assert_eq!(fifo.load(), reference.load());
+            if popped.is_none() {
+                break;
+            }
+        }
+    }
+
     /// FIFO links deliver in arrival order, never faster than the wire
     /// allows, and conserve every byte.
     #[test]
