@@ -5,7 +5,7 @@
 //!   pending events, every push immediately followed by a pop.
 //! * **hold** — the classic calendar-queue workload (pop the minimum,
 //!   push a successor a random gap later) at a fixed pending count,
-//!   which is what the sharded swarm engine's action queues look like
+//!   which is what the swarm engine's device action queue looks like
 //!   mid-mission. Measured at 1k and 100k pending entries, the second
 //!   deep enough that bucket-width adaptation decides the outcome.
 //! * **front-loaded ties** — the drone-mission capture pattern: every

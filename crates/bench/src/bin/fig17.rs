@@ -4,9 +4,9 @@
 //!
 //! Set `HIVEMIND_FULL=1` (or pass `--full`) to extend the swarm sweep
 //! through 8192 to the serverless-edge headline sizes of 100k and 1M
-//! simulated devices (tens of minutes on one core — the sharded engine
-//! spreads each replicate across `HIVEMIND_SHARDS` cores); the default
-//! sweep stops at 4096.
+//! simulated devices (tens of minutes; each swarm size runs on one core,
+//! and `HIVEMIND_THREADS` runs sizes in parallel); the default sweep
+//! stops at 4096.
 
 use hivemind_bench::report::Report;
 use hivemind_bench::{banner, full_fidelity, smoke, Table};
@@ -75,9 +75,8 @@ fn main() {
         vec![16u32, 32, 64, 128, 256, 512, 1024, 2048, 4096]
     };
     if full_fidelity() {
-        // The 100k/1M points are where spatial sharding earns its keep:
-        // one replicate spread across every core instead of one core
-        // per replicate.
+        // The serverless-edge headline sizes; each is one run on one
+        // core, so the largest point bounds the wall clock.
         sizes.extend([8192, 100_000, 1_000_000]);
     }
     let mut table = Table::new([

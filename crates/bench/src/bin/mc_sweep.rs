@@ -4,7 +4,7 @@
 //! Where the DES samples one fault schedule per seed, the checker in
 //! `hivemind_sim::mc` enumerates *every* schedule the fault budgets
 //! allow, checking the protocol invariants at each reachable state. This
-//! binary drives the five lifted protocols from `hivemind_core::mc`
+//! binary drives the four lifted protocols from `hivemind_core::mc`
 //! over their canonical small instances and reports the explored state
 //! space:
 //!
@@ -17,25 +17,18 @@
 //!   specification monitor; queue bound; task conservation.
 //! * **data exchange** — store/fetch sessions under duplication, loss,
 //!   reordering and store crashes. Invariant: exactly-once execution.
-//! * **sharded barrier merge** — the spatial engine's epoch protocol:
-//!   shards consume under conservative lookahead and exchange boundary
-//!   events at barriers. Invariants: no shard consumes past its horizon;
-//!   the merged stream is totally ordered by `(time, shard, seq)`;
-//!   every consumed event is merged or still staged.
 //! * **disconnected operation** — lease-based autonomy with buffered
 //!   replay: partitions expire the device's lease, updates accumulate in
 //!   a bounded ring, and heals replay through a watermarked session.
 //!   Invariants: exactly-once replay conservation; no spurious failure
 //!   declaration for a device that was merely partitioned.
 //!
-//! A second section checks the lane's *bug-finding power*: seven planted
+//! A second section checks the lane's *bug-finding power*: five planted
 //! bugs (the historical orphan-dropping failover, a breaker that skips
-//! half-open, an exchange without response dedup, a barrier that
-//! concatenates batches in shard order, a shard that consumes one
-//! lookahead past the epoch horizon, a replay session without watermark
-//! dedup, a controller that skips reconnect grace) must each produce a
-//! minimal counterexample that replays through the DES engine to the
-//! identical violation.
+//! half-open, an exchange without response dedup, a replay session
+//! without watermark dedup, a controller that skips reconnect grace)
+//! must each produce a minimal counterexample that replays through the
+//! DES engine to the identical violation.
 //!
 //! The checker is a pure function of the model — FNV-fingerprint dedup,
 //! canonical action order, no wall clock — so every number and schedule
@@ -47,8 +40,7 @@ use hivemind_bench::{banner, runner, Table};
 use hivemind_core::mc::{
     disconnect_instance, disconnect_no_dedup_mutant, disconnect_no_grace_mutant, exchange_instance,
     exchange_mutant, exchange_smoke_instance, failover_instance, failover_legacy_instance,
-    replay_schedule, retry_breaker_instance, retry_breaker_mutant, shard_eager_mutant,
-    shard_merge_instance, shard_merge_mutant,
+    replay_schedule, retry_breaker_instance, retry_breaker_mutant,
 };
 use hivemind_sim::mc::{check, McConfig, McModel, McStats, Schedule};
 
@@ -129,7 +121,7 @@ fn catch<M: McModel>(
 
 /// The disconnect plane's planted bugs run only in the full sweep: the
 /// smoke section (and its golden) predates the protocol and pins the
-/// original five.
+/// other three.
 fn disconnect_bugs() -> [String; 2] {
     [
         catch(
@@ -149,7 +141,7 @@ fn disconnect_bugs() -> [String; 2] {
     ]
 }
 
-fn planted_bugs() -> [String; 5] {
+fn planted_bugs() -> [String; 3] {
     [
         catch(
             "failover: orphaned strips died with their heir (pre-fix controller)",
@@ -171,20 +163,6 @@ fn planted_bugs() -> [String; 5] {
             exchange_mutant,
             14,
             |s| assert_eq!(replay_schedule(exchange_smoke_instance(), s), None),
-        ),
-        catch(
-            "shard merge: barrier concatenated batches in shard order",
-            "merge order",
-            shard_merge_mutant,
-            16,
-            |s| assert_eq!(replay_schedule(shard_merge_instance(), s), None),
-        ),
-        catch(
-            "shard horizon: a shard consumed one lookahead past the epoch",
-            "lookahead horizon",
-            shard_eager_mutant,
-            16,
-            |s| assert_eq!(replay_schedule(shard_merge_instance(), s), None),
         ),
     ]
 }
@@ -213,14 +191,11 @@ fn sweep() {
         },
     );
     table.row(stats_row("data exchange (3 sessions)", &exchange));
-    let shard = verify("shard merge", &shard_merge_instance(), &cfg(16));
-    table.row(stats_row("sharded barrier merge (3 shards)", &shard));
     let disconnect = verify("disconnect", &disconnect_instance(), &cfg(24));
     table.row(stats_row("disconnected operation", &disconnect));
     table.print();
     println!("(2 servers / 1 controller / 3 tasks per protocol; every fault");
     println!(" schedule within the crash/drop/duplicate/failover budgets;");
-    println!(" the shard protocol explores every consume/barrier interleaving;");
     println!(" the disconnect protocol every partition/heal/replay schedule)");
 
     banner("Planted bugs: each must yield a replayable minimal counterexample");
@@ -233,10 +208,10 @@ fn sweep() {
 }
 
 fn smoke() {
-    // The smaller exhaustive instances plus all five planted bugs, fanned
+    // The smaller exhaustive instances plus the three planted bugs, fanned
     // across the replicate runner's workers: HIVEMIND_THREADS changes the
     // execution schedule but must not change one byte of this output.
-    let jobs: Vec<usize> = (0..5).collect();
+    let jobs: Vec<usize> = (0..4).collect();
     let sections = runner().map(&jobs, |_, &job| match job {
         0 => {
             let stats = verify("failover", &failover_instance(), &cfg(24));
@@ -256,13 +231,6 @@ fn smoke() {
             let stats = verify("exchange", &exchange_smoke_instance(), &cfg(28));
             format!(
                 "exchange: {} states, {} transitions, diameter {}, {} terminals, 0 violations",
-                stats.states, stats.transitions, stats.max_depth, stats.terminals
-            )
-        }
-        3 => {
-            let stats = verify("shard merge", &shard_merge_instance(), &cfg(16));
-            format!(
-                "shard merge: {} states, {} transitions, diameter {}, {} terminals, 0 violations",
                 stats.states, stats.transitions, stats.max_depth, stats.terminals
             )
         }

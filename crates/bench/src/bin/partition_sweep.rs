@@ -17,8 +17,8 @@
 //!
 //! `--smoke` runs a quick deterministic slice through the replicate
 //! runner and prints the outcome JSON; CI diffs that output across
-//! `HIVEMIND_THREADS` and `HIVEMIND_SHARDS` values to pin down
-//! byte-determinism of the disconnect plane.
+//! `HIVEMIND_THREADS` values to pin down byte-determinism of the
+//! disconnect plane.
 
 use hivemind_bench::{banner, runner, Table};
 use hivemind_core::prelude::*;
@@ -164,8 +164,8 @@ fn sweep() {
 
 fn smoke() {
     // One 10 s partition mid-run, autonomy armed, through the replicate
-    // runner: HIVEMIND_THREADS / HIVEMIND_SHARDS affect the execution
-    // schedule but must not affect any byte of the output.
+    // runner: HIVEMIND_THREADS affects the execution schedule but must
+    // not affect any byte of the output.
     let cfg = ExperimentConfig::single_app(App::FaceRecognition)
         .platform(Platform::CentralizedFaaS)
         .duration_secs(25.0)

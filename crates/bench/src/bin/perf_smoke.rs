@@ -6,18 +6,20 @@
 //! cargo run --release -p hivemind-bench --bin perf_smoke -- [--check] [--out PATH] [--baseline PATH]
 //! ```
 //!
-//! With `--check`, the run first reads the committed baseline (default:
-//! the `--out` path before it is overwritten) and fails the process if
-//! any figure, the smoke total, the DES kernel throughput, or the
-//! sharded swarm-engine throughput regressed by more than 25% — with an
-//! absolute slack floor so sub-100 ms entries don't trip on scheduler
-//! noise (the sharded gate only applies when the baseline machine had
-//! the same core count). CI runs this after `cargo bench` in quick mode
-//! and uploads the refreshed JSON as an artifact.
+//! A plain run re-records `BENCH_core.json`. With `--check`, the run
+//! reads the committed baseline (default `BENCH_core.json`), writes the
+//! fresh record to `target/BENCH_core.json` instead (unless `--out` says
+//! otherwise), and fails the process if any figure, the smoke total, the
+//! DES kernel throughput, or the swarm-engine throughput regressed by
+//! more than 25% — with an absolute slack floor so sub-100 ms entries
+//! don't trip on scheduler noise (the swarm-engine gate only applies
+//! when the baseline machine had the same core count). CI runs this
+//! after `cargo bench` in quick mode and uploads the fresh JSON as an
+//! artifact.
 //!
 //! At full fidelity (`--full` / `HIVEMIND_FULL=1`) the run additionally
 //! executes the fig17 100k-device HiveMind mission and records its wall
-//! clock under `fig17_100k` — the sharded engine's headline scale point.
+//! clock under `fig17_100k` — the engine's headline scale point.
 //!
 //! The JSON also carries the default-fidelity `all_figures` reference
 //! numbers from the optimization PR (measured on the single-core dev
@@ -97,18 +99,14 @@ fn measure_events_per_sec() -> f64 {
     best
 }
 
-/// Sharded swarm-engine throughput in events/sec: a 256-device mixed
-/// edge/cloud workload on the HiveMind platform, run once per shard
-/// count, best of two runs each. The shard count only changes wall
-/// clock (the output is byte-identical by construction), so this is the
-/// honest denominator for the spatial-sharding speedup.
-fn measure_swarm_events_per_sec(shards: u32) -> f64 {
+/// Swarm-engine throughput in events/sec: a 256-device mixed edge/cloud
+/// workload on the HiveMind platform, best of two runs.
+fn measure_swarm_events_per_sec() -> f64 {
     let mut best = 0.0f64;
     for _ in 0..2 {
         let mut cfg = EngineConfig::testbed(Platform::HiveMind);
         cfg.devices = 256;
         cfg.servers = 192;
-        cfg.shards = shards;
         let mut engine = SwarmEngine::new(cfg);
         for i in 0..40u64 {
             for dev in 0..256 {
@@ -130,7 +128,7 @@ fn measure_swarm_events_per_sec(shards: u32) -> f64 {
 }
 
 /// Per-phase breakdown of the same 256-device workload, run once with
-/// profiling enabled: wall-clock per engine phase (shard, merge, hub)
+/// profiling enabled: wall-clock per engine phase (device, merge, hub)
 /// plus the deterministic operation counters (calendar-queue ops and
 /// rebuild work, fabric hop completions, cluster events, RNG draws,
 /// merged elements, exchanged effects). Its
@@ -142,7 +140,6 @@ fn measure_phase_breakdown() -> hivemind_core::engine::PhaseBreakdown {
     let mut cfg = EngineConfig::testbed(Platform::HiveMind);
     cfg.devices = 256;
     cfg.servers = 192;
-    cfg.shards = 1;
     let mut engine = SwarmEngine::new(cfg);
     engine.enable_profiling();
     for i in 0..40u64 {
@@ -163,7 +160,7 @@ fn measure_phase_breakdown() -> hivemind_core::engine::PhaseBreakdown {
 /// The fig17 swarm-scalability headline point: the 100k-device
 /// HiveMind mission (same configuration as the fig17b sweep), measured
 /// once. Full-fidelity only — this is a minutes-scale run; the recorded
-/// wall clock documents that the sharded engine completes it.
+/// wall clock documents that the engine completes it.
 fn measure_fig17_100k() -> (f64, f64, bool) {
     let devices = 100_000;
     let cfg = ExperimentConfig::scenario(Scenario::StationaryItems)
@@ -226,25 +223,31 @@ fn baseline_value(baseline: &[(String, f64)], key: &str) -> Option<f64> {
 
 fn main() {
     let mut check = false;
-    let mut out_path = PathBuf::from("BENCH_core.json");
-    let mut baseline_path: Option<PathBuf> = None;
+    let mut out_path: Option<PathBuf> = None;
+    let mut baseline_path = PathBuf::from("BENCH_core.json");
     let cli = hivemind_bench::cli::Cli::from_env();
     let mut args = cli.rest().iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => check = true,
-            "--out" => out_path = args.next().map(PathBuf::from).expect("--out needs a path"),
+            "--out" => out_path = Some(args.next().map(PathBuf::from).expect("--out needs a path")),
             "--baseline" => {
-                baseline_path = Some(
-                    args.next()
-                        .map(PathBuf::from)
-                        .expect("--baseline needs a path"),
-                )
+                baseline_path = args
+                    .next()
+                    .map(PathBuf::from)
+                    .expect("--baseline needs a path")
             }
             other => panic!("unknown argument {other}"),
         }
     }
-    let baseline_path = baseline_path.unwrap_or_else(|| out_path.clone());
+    // A gate run never overwrites the committed baseline it compares to.
+    let out_path = out_path.unwrap_or_else(|| {
+        PathBuf::from(if check {
+            "target/BENCH_core.json"
+        } else {
+            "BENCH_core.json"
+        })
+    });
     let baseline = if check {
         let json = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
             panic!(
@@ -261,20 +264,17 @@ fn main() {
     let events_per_sec = measure_events_per_sec();
     println!("  des_events_per_sec: {events_per_sec:.0}");
 
-    println!("perf_smoke: measuring sharded swarm-engine throughput...");
-    // One shard per core: the sharded rate and the core count it ran on.
+    println!("perf_smoke: measuring swarm-engine throughput...");
     let nproc = std::thread::available_parallelism()
         .map(|p| p.get() as u32)
         .unwrap_or(1);
-    let swarm_single = measure_swarm_events_per_sec(1);
-    let swarm_sharded = measure_swarm_events_per_sec(nproc);
-    println!("  swarm_events_per_sec (1 shard): {swarm_single:.0}");
-    println!("  swarm_events_per_sec_sharded ({nproc} shards): {swarm_sharded:.0}");
+    let swarm = measure_swarm_events_per_sec();
+    println!("  swarm_events_per_sec: {swarm:.0}");
 
     println!("perf_smoke: profiling the per-phase breakdown...");
     let bd = measure_phase_breakdown();
     println!(
-        "  phases: shard {:.1} ms, merge {:.1} ms, hub {:.1} ms",
+        "  phases: device {:.1} ms, merge {:.1} ms, hub {:.1} ms",
         bd.shard_ns as f64 / 1e6,
         bd.merge_ns as f64 / 1e6,
         bd.hub_ns as f64 / 1e6
@@ -318,12 +318,7 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"schema\": \"hivemind-bench-core-v1\",\n");
     let _ = writeln!(json, "  \"des_events_per_sec\": {events_per_sec:.0},");
-    let _ = writeln!(json, "  \"swarm_events_per_sec\": {swarm_single:.0},");
-    let _ = writeln!(
-        json,
-        "  \"swarm_events_per_sec_sharded\": {swarm_sharded:.0},"
-    );
-    let _ = writeln!(json, "  \"swarm_shards\": {nproc},");
+    let _ = writeln!(json, "  \"swarm_events_per_sec\": {swarm:.0},");
     let _ = writeln!(json, "  \"nproc\": {nproc},");
     json.push_str("  \"phase_breakdown\": {\n");
     let _ = writeln!(json, "    \"shard_ms\": {:.1},", bd.shard_ns as f64 / 1e6);
@@ -383,18 +378,15 @@ fn main() {
                 ));
             }
         }
-        // The sharded rate is gated only when the baseline machine had a
-        // comparable core count — otherwise a 1-core CI runner would
-        // "regress" against a many-core dev box.
-        if let Some(base_shards) = baseline_value(&baseline, "swarm_shards") {
-            if base_shards as u32 == nproc {
-                if let Some(base) = baseline_value(&baseline, "swarm_events_per_sec_sharded") {
-                    if swarm_sharded < base / REGRESSION_RATIO {
-                        failures.push(format!(
-                            "swarm_events_per_sec_sharded regressed: {swarm_sharded:.0} \
-                             vs baseline {base:.0}"
-                        ));
-                    }
+        // The swarm-engine rate is gated only when the baseline machine
+        // had the same core count, so runs from different machines are
+        // never compared blindly.
+        if baseline_value(&baseline, "nproc") == Some(nproc as f64) {
+            if let Some(base) = baseline_value(&baseline, "swarm_events_per_sec") {
+                if swarm < base / REGRESSION_RATIO {
+                    failures.push(format!(
+                        "swarm_events_per_sec regressed: {swarm:.0} vs baseline {base:.0}"
+                    ));
                 }
             }
         }
@@ -446,6 +438,10 @@ fn main() {
         }
     }
 
+    if let Some(dir) = out_path.parent() {
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| panic!("failed to create {}: {e}", dir.display()));
+    }
     std::fs::write(&out_path, &json)
         .unwrap_or_else(|e| panic!("failed to write {}: {e}", out_path.display()));
     println!("wrote {}", out_path.display());

@@ -9,7 +9,6 @@
 //! centralized design scalable (Sec. 4.3's multi-scheduler escape hatch).
 
 use hivemind_sim::faults;
-use hivemind_sim::shard::ShardMap;
 use hivemind_sim::time::{SimDuration, SimTime};
 use hivemind_swarm::failover::{try_assign_rect, try_repartition, FailoverError, HeartbeatTracker};
 use hivemind_swarm::geometry::{partition_field, Rect};
@@ -40,9 +39,6 @@ pub struct SwarmController {
     heartbeats: HeartbeatTracker,
     /// Scheduler shards (1 = single centralized scheduler).
     shards: u32,
-    /// The engine's spatial device→shard partition (identity — one
-    /// shard — until aligned via [`SwarmController::align_device_shards`]).
-    device_shards: ShardMap,
     /// Which controller instance is currently primary (0 at start; each
     /// failover promotes the next warm standby).
     primary: u32,
@@ -79,7 +75,6 @@ impl SwarmController {
             heartbeats: HeartbeatTracker::new(devices),
             field,
             shards: 1,
-            device_shards: ShardMap::new(devices, 1),
             primary: 0,
             failovers: Vec::new(),
             redistribute_orphans: false,
@@ -309,46 +304,6 @@ impl SwarmController {
     /// The shard responsible for a task id.
     pub fn shard_of(&self, task: u64) -> u32 {
         (task % self.shards as u64) as u32
-    }
-
-    /// Adopts the engine's spatial device→shard partition so the
-    /// controller's monitoring plane can reason per engine shard. A map
-    /// for a different fleet size is rejected (the partition would not
-    /// cover this controller's devices).
-    pub fn align_device_shards(&mut self, map: ShardMap) -> Result<(), FailoverError> {
-        if map.devices() != self.alive.len() as u32 {
-            return Err(FailoverError::DeviceOutOfRange {
-                device: map.devices(),
-                fleet: self.alive.len() as u32,
-            });
-        }
-        self.device_shards = map;
-        Ok(())
-    }
-
-    /// The engine shard that owns `device` (0 until aligned).
-    pub fn device_shard_of(&self, device: u32) -> u32 {
-        self.device_shards.shard_of(device)
-    }
-
-    /// The initial regions owned by one engine shard's device block.
-    /// Devices are partitioned into contiguous id blocks, and the initial
-    /// field partition follows device order, so a shard's view is a
-    /// contiguous band of the field.
-    pub fn shard_regions(&self, shard: u32) -> Vec<Rect> {
-        self.device_shards
-            .range(shard)
-            .map(|d| self.regions[d as usize])
-            .collect()
-    }
-
-    /// Live devices inside one engine shard — the monitoring fan-in the
-    /// hub aggregates per shard instead of per device.
-    pub fn shard_alive_count(&self, shard: u32) -> u32 {
-        self.device_shards
-            .range(shard)
-            .filter(|&d| self.alive[d as usize])
-            .count() as u32
     }
 
     /// Scheduler decision throughput model: a single shard sustains
@@ -587,35 +542,6 @@ mod tests {
         ));
         assert!(c.try_region_of(1).is_ok());
         assert!(c.try_region_of(2).is_err());
-    }
-
-    #[test]
-    fn device_shards_align_with_the_engine_partition() {
-        let mut c = controller();
-        // Unaligned: everything is shard 0.
-        assert_eq!(c.device_shard_of(15), 0);
-        assert_eq!(c.shard_alive_count(0), 16);
-
-        // A map for the wrong fleet size is rejected.
-        assert!(c.align_device_shards(ShardMap::new(8, 4)).is_err());
-        c.align_device_shards(ShardMap::new(16, 4))
-            .expect("aligned");
-
-        // Contiguous blocks of 4, and every region lands in exactly one
-        // shard's view.
-        assert_eq!(c.device_shard_of(0), 0);
-        assert_eq!(c.device_shard_of(7), 1);
-        assert_eq!(c.device_shard_of(15), 3);
-        let total: f64 = (0..4)
-            .flat_map(|s| c.shard_regions(s))
-            .map(|r| r.area())
-            .sum();
-        assert!((total - c.field().area()).abs() < 1e-6);
-
-        // Per-shard liveness tracks failures.
-        c.force_fail(5);
-        assert_eq!(c.shard_alive_count(1), 3);
-        assert_eq!(c.shard_alive_count(0), 4);
     }
 
     #[test]

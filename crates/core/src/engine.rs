@@ -26,37 +26,30 @@
 //!         → result upload → done at cloud
 //! ```
 //!
-//! ## Sharded execution
+//! ## Device phase and hub phase
 //!
 //! Device-local work (capture, the hybrid filter tier, on-device FIFO
-//! execution, battery accounting, and the RPC-send cost draws) is
-//! partitioned into [`ShardMap`] blocks — contiguous device ranges, one
-//! spatial swarm region each — and advanced one *epoch* at a time under
-//! conservative lookahead derived from the slowest cross-shard link
-//! (the wireless hop: no device-side event can influence another
-//! device's hardware, or the shared cloud, in less virtual time than
-//! one wireless propagation). Each epoch runs two phases:
+//! execution, battery accounting, and the RPC-send cost draws) lives in
+//! one device block and advances one *epoch* at a time. The epoch horizon
+//! is the topology's lookahead — the wireless hop: no device-side event
+//! can reach the shared cloud in less virtual time than one wireless
+//! propagation — widened to a 250 ms floor when nothing feeds hub
+//! decisions back into the devices. Each epoch runs two phases:
 //!
-//! 1. **Shard phase** (parallel): every shard drains its own action
-//!    calendar and FIFO wake index up to the epoch boundary, drawing
-//!    only from per-device RNG lanes (`forge.indexed_stream("device", d)`)
-//!    and emitting boundary *effects* stamped `(time, device, seq)`.
-//! 2. **Hub phase** (serial): the per-shard effect batches are folded,
-//!    together with the previous epoch's not-yet-due leftovers, through
-//!    one order-stable k-way merge ([`merge_keyed_into`]) per barrier —
-//!    batched exchange, not per-event handoff — and applied interleaved,
-//!    in global time order, with hub actions, network deliveries, and
-//!    cloud completions. All hub randomness stays on the global
-//!    `"engine"` stream.
+//! 1. **Device phase**: the block drains its action calendar and FIFO
+//!    wake index up to the epoch boundary, drawing only from per-device
+//!    RNG lanes (`forge.indexed_stream("device", d)`) and emitting
+//!    boundary *effects* stamped `(time, device, seq)`.
+//! 2. **Hub phase** (serial): the sorted effect batch is merged with the
+//!    previous epoch's not-yet-due leftovers ([`effect::merge_into`]) and
+//!    applied interleaved, in global time order, with hub actions,
+//!    network deliveries, and cloud completions. All hub randomness stays
+//!    on the global `"engine"` stream.
 //!
-//! Because every shard-phase draw is keyed by device, every effect by a
-//! shard-count-invariant `(time, device, seq)` key, and the epoch grid
-//! by configuration alone, `HIVEMIND_SHARDS` (or
-//! [`EngineConfig::shards`]) changes wall-clock time but never a single
-//! output byte. The one hub→device feedback edge — overload spillover
-//! resubmission — is deferred to the epoch boundary, which is itself
-//! shard-count-invariant.
+//! The one hub→device feedback edge — overload spillover and autonomous
+//! degraded execution — is deferred to the epoch boundary.
 
+pub mod effect;
 pub mod fifo;
 
 use std::collections::HashMap;
@@ -73,7 +66,6 @@ use hivemind_sim::disconnect::{self, DisconnectPolicy};
 use hivemind_sim::faults::{self, FaultPlan};
 use hivemind_sim::overload::OverloadPolicy;
 use hivemind_sim::rng::RngForge;
-use hivemind_sim::shard::{merge_keyed_into, shards_from_env, EffectKey, ShardMap};
 use hivemind_sim::time::{SimDuration, SimTime};
 use hivemind_sim::trace::{ArgValue, Trace, TraceHandle};
 use rand::rngs::SmallRng;
@@ -81,6 +73,7 @@ use rand::rngs::SmallRng;
 use crate::dsl::PlacementSite;
 use crate::platform::Platform;
 use crate::synthesis;
+use effect::EffectKey;
 use fifo::FifoServer;
 use hivemind_accel::fpga::{FpgaConfig, FpgaFabric, SoftRegisters};
 
@@ -88,7 +81,7 @@ use hivemind_swarm::device::DeviceProfile;
 use hivemind_swarm::disconnect::{ReplayRing, ReplaySession};
 use hivemind_swarm::{Battery, BatteryBlock};
 
-/// Epoch length used when nothing couples the hub back into the shard
+/// Epoch length used when nothing couples the hub back into the device
 /// phase inside an epoch (the dataflow is feed-forward): batching many
 /// lookahead windows per barrier amortizes per-epoch synchronization
 /// without affecting a single output byte. When spillover re-routing is
@@ -144,12 +137,9 @@ pub struct EngineConfig {
     /// (the brownout spillover path) and buffer update summaries in a
     /// bounded ring for exactly-once replay at reconnect.
     pub disconnect: DisconnectPolicy,
-    /// Spatial shards the device-local event loop is split into. Each
-    /// shard owns a contiguous device block (its FIFO queues, batteries,
-    /// and per-device RNG lanes) and advances on its own core under
-    /// conservative lookahead. `0` reads `HIVEMIND_SHARDS` (default 1);
-    /// the count is clamped to the device count. Purely a parallelism
-    /// knob: every output byte is identical for every value.
+    /// Inert: has no effect on a run (every device lives in one block).
+    /// Kept only because `perfbench`'s engine-config adapter names it; it
+    /// goes with the next change to the benchmark.
     pub shards: u32,
 }
 
@@ -281,7 +271,7 @@ impl TaskRecord {
     }
 }
 
-/// Hub-side actions (everything device-local lives in the shard phase).
+/// Hub-side actions (everything device-local lives in the device phase).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Action {
     SubmitCloud {
@@ -362,9 +352,9 @@ struct TaskState {
     shed: bool,
 }
 
-/// The payload of a capture scheduled on a shard's action calendar. The
-/// `(at, seq)` key lives in the queue itself; `seq` is unique per shard,
-/// so the key order is total and the payload is never compared.
+/// The payload of a capture scheduled on the device block's action
+/// calendar. The `(at, seq)` key lives in the queue itself; `seq` is
+/// unique, so the key order is total and the payload is never compared.
 #[derive(Debug, Clone, Copy)]
 struct Capture {
     task: u32,
@@ -381,8 +371,8 @@ enum EdgePending {
     Filter { upload_bytes: u64 },
 }
 
-/// A boundary event a shard hands to the hub, applied at its
-/// [`EffectKey`] instant in globally merged key order.
+/// A boundary event the device phase hands to the hub, applied at its
+/// [`EffectKey`] instant in key order.
 #[derive(Debug, Clone, Copy)]
 enum Effect {
     /// Put `bytes` on the uplink toward a (hub-chosen) server, tagged as
@@ -407,45 +397,43 @@ enum Effect {
     /// A spillover (degraded on-device) job finished; the result is
     /// already on the device, so the task completes with no uplink.
     FinishLocal { task: u32, queued: SimDuration },
-    /// Queue-depth trace counter from the shard phase (the tracer is
-    /// hub-owned, so shard-side emissions ride the effect stream and
-    /// land in merge-key order).
+    /// Queue-depth trace counter from the device phase (the tracer is
+    /// hub-owned, so device-side emissions ride the effect stream and
+    /// land in key order).
     QueueDepth { depth: u64 },
 }
 
-/// One spatial shard: a contiguous device block with its own action
+/// The device plane: every device's hardware state, with one action
 /// calendar, FIFO wake index, and outbound effect batch.
 ///
 /// Per-device hot state is struct-of-arrays: parallel vectors indexed by
-/// the block offset `device - first_dev`, aligned with [`ShardMap`]'s
-/// contiguous ranges, so the inner loop streams dense cache lines
-/// instead of pointer-chasing one struct per device. The FIFO queues
-/// (cold, pointer-heavy) live in their own array away from the battery /
-/// RNG / sequence state the per-event path actually touches.
+/// device id, so the inner loop streams dense cache lines instead of
+/// pointer-chasing one struct per device. The FIFO queues (cold,
+/// pointer-heavy) live in their own array away from the battery / RNG /
+/// sequence state the per-event path actually touches.
 #[derive(Debug)]
-struct Shard {
-    first_dev: u32,
-    /// Per-device FIFO compute queues, block-offset order.
+struct DeviceBlock {
+    /// Per-device FIFO compute queues.
     fifos: Vec<FifoServer>,
     /// Per-device batteries, one dense block.
     batteries: BatteryBlock,
     /// Per-device RNG lanes (`forge.indexed_stream("device", dev)`).
     rngs: Vec<SmallRng>,
     /// Per-device monotone effect counters — the `seq` leg of the
-    /// shard-count-invariant `(time, device, seq)` merge key.
+    /// `(time, device, seq)` effect key.
     eseqs: Vec<u64>,
-    /// Scheduled captures, keyed `(at, seq)`; `aseq` is the per-shard
-    /// tie-break counter.
+    /// Scheduled captures, keyed `(at, seq)`; `aseq` is the tie-break
+    /// counter.
     actions: CalendarQueue<(SimTime, u64), Capture>,
     aseq: u64,
-    /// Conservative wake index over this shard's FIFO queues (entries
-    /// may be early, never late; equal keys are interchangeable).
+    /// Conservative wake index over the FIFO queues (entries may be
+    /// early, never late; equal keys are interchangeable).
     wake: CalendarQueue<(SimTime, u32), ()>,
     /// Task → device-local context for in-flight FIFO jobs. Fixed-seed
     /// hashing: insert/remove churn must rehash at workload-determined
     /// instants or the steady-state allocation pin would be flaky.
     pending_jobs: hivemind_sim::hash::DetHashMap<u32, EdgePending>,
-    /// RNG sampling calls made by this shard (profiling breakdown).
+    /// RNG sampling calls made by the device phase (profiling breakdown).
     rng_draws: u64,
     done_scratch: Vec<(SimTime, u64, SimDuration)>,
     /// Effects emitted this epoch, sorted by key at the barrier.
@@ -456,7 +444,7 @@ struct Shard {
     events: u64,
 }
 
-impl Shard {
+impl DeviceBlock {
     /// The earliest device-local instant at which anything happens.
     fn next_event(&self) -> Option<SimTime> {
         let a = self.actions.peek().map(|(t, _)| t);
@@ -480,14 +468,14 @@ impl Shard {
 /// or `HIVEMIND_PROFILE=1`) and vary run to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
-    /// Wall nanoseconds inside the parallel shard phase.
+    /// Wall nanoseconds inside the device phase.
     pub shard_ns: u64,
-    /// Wall nanoseconds inside the barrier merge/exchange.
+    /// Wall nanoseconds inside the effect exchange (leftover merge).
     pub merge_ns: u64,
     /// Wall nanoseconds inside the serial hub phase.
     pub hub_ns: u64,
-    /// Calendar-queue pushes + pops across the hub action queue and
-    /// every shard's action and wake queues.
+    /// Calendar-queue pushes + pops across the hub action queue and the
+    /// device block's action and wake queues.
     pub queue_ops: u64,
     /// Calendar-queue rebuild work (entries redistributed + bucket
     /// headers visited) across the same queues.
@@ -497,21 +485,21 @@ pub struct PhaseBreakdown {
     pub fabric_hops: u64,
     /// Internal events the FaaS cluster popped (zero without a cluster).
     pub cluster_events: u64,
-    /// Service/cost sampling calls drawn from RNG lanes (hub and shard).
+    /// Service/cost sampling calls drawn from RNG lanes (hub and devices).
     pub rng_draws: u64,
-    /// Elements folded through the k-way exchange merge at barriers
-    /// (zero when every barrier hits the buffer-swap fast path).
+    /// Elements folded through the leftover merge at barriers (zero when
+    /// every barrier hits the buffer-swap fast path).
     pub merge_elems: u64,
-    /// Effects handed across the shard → hub barrier.
+    /// Effects handed across the device → hub barrier.
     pub exchange_effects: u64,
     /// Barrier epochs that exchanged at least one effect.
     pub exchange_epochs: u64,
 }
 
-/// Read-only configuration snapshot the parallel shard phase runs
-/// against (everything it needs from [`EngineConfig`], plus the edge
-/// RPC profile).
-struct ShardCtx<'a> {
+/// Read-only configuration snapshot the device phase runs against
+/// (everything it needs from [`EngineConfig`], plus the edge RPC
+/// profile).
+struct DeviceCtx<'a> {
     hybrid: bool,
     upload_fraction: f64,
     input_scale: f64,
@@ -529,15 +517,14 @@ pub struct Engine {
     fabric: Fabric,
     cluster: Option<Cluster>,
     pool: Option<FixedPool>,
-    /// Spatial shards (contiguous device blocks with their hardware).
-    shards: Vec<Shard>,
-    map: ShardMap,
-    /// Conservative cross-shard lookahead (the wireless hop).
+    /// Every device's hardware state.
+    block: DeviceBlock,
+    /// The shortest epoch horizon (the wireless hop; see `run_epoch`).
     lookahead: SimDuration,
-    /// Merged shard effects not yet applied, as one sorted run consumed
+    /// Device effects not yet applied, as one sorted run consumed
     /// through `pending_cursor` (effects may be future-dated past their
     /// epoch, e.g. `finish + send_cost`). Rebuilt once per barrier by
-    /// folding the leftovers with the fresh per-shard batches.
+    /// folding the leftovers with the fresh batch.
     pending: Vec<(EffectKey, Effect)>,
     pending_cursor: usize,
     /// The merge target swapped with `pending` at each barrier; both
@@ -557,8 +544,7 @@ pub struct Engine {
     completion_scratch: Vec<hivemind_faas::types::Completion>,
     /// Spillover jobs created by the hub phase, resubmitted to their
     /// device's FIFO at the epoch boundary (the one hub→device feedback
-    /// edge; the boundary is shard-count-invariant, so the deferral is
-    /// deterministic).
+    /// edge).
     spill_inbox: Vec<(SimTime, u32, u64, SimDuration)>,
     rng: SmallRng,
     next_server: u32,
@@ -597,8 +583,6 @@ pub struct Engine {
     profile: bool,
     /// Accumulated phase timers and exchange counters.
     breakdown: PhaseBreakdown,
-    /// Cores available to the shard phase (cached at construction).
-    phase_budget: usize,
 }
 
 impl Engine {
@@ -775,41 +759,27 @@ impl Engine {
             }
         }
 
-        let shard_count = if cfg.shards == 0 {
-            shards_from_env()
-        } else {
-            cfg.shards
+        let n = cfg.devices as usize;
+        let block = DeviceBlock {
+            fifos: (0..n)
+                .map(|_| FifoServer::new(cfg.device_profile.cores))
+                .collect(),
+            batteries: BatteryBlock::new(cfg.device_profile.battery, n),
+            // One RNG lane per device, keyed by device id.
+            rngs: (0..cfg.devices)
+                .map(|dev| forge.indexed_stream("device", dev as u64))
+                .collect(),
+            eseqs: vec![0; n],
+            actions: CalendarQueue::new(),
+            aseq: 0,
+            wake: CalendarQueue::new(),
+            pending_jobs: hivemind_sim::hash::DetHashMap::default(),
+            rng_draws: 0,
+            done_scratch: Vec::new(),
+            out: Vec::new(),
+            cursor: SimTime::ZERO,
+            events: 0,
         };
-        let map = ShardMap::new(cfg.devices, shard_count);
-        let shards = (0..map.shards())
-            .map(|s| {
-                let range = map.range(s);
-                let n = range.len();
-                Shard {
-                    first_dev: range.start,
-                    fifos: (0..n)
-                        .map(|_| FifoServer::new(cfg.device_profile.cores))
-                        .collect(),
-                    batteries: BatteryBlock::new(cfg.device_profile.battery, n),
-                    // One RNG lane per device, keyed by the
-                    // shard-count-invariant device id — re-sharding
-                    // never reshuffles a single draw.
-                    rngs: range
-                        .map(|dev| forge.indexed_stream("device", dev as u64))
-                        .collect(),
-                    eseqs: vec![0; n],
-                    actions: CalendarQueue::new(),
-                    aseq: 0,
-                    wake: CalendarQueue::new(),
-                    pending_jobs: hivemind_sim::hash::DetHashMap::default(),
-                    rng_draws: 0,
-                    done_scratch: Vec::new(),
-                    out: Vec::new(),
-                    cursor: SimTime::ZERO,
-                    events: 0,
-                }
-            })
-            .collect();
 
         let topo_params = hivemind_net::topology::TopologyParams {
             devices: cfg.devices,
@@ -822,8 +792,7 @@ impl Engine {
         let disconnect_armed = cfg.disconnect.is_active() && !cfg.faults.net.partitions.is_empty();
         let mut engine = Engine {
             uplink_budget_bytes,
-            shards,
-            map,
+            block,
             lookahead,
             pending: Vec::new(),
             pending_cursor: 0,
@@ -872,9 +841,6 @@ impl Engine {
             rng_draws: 0,
             profile: std::env::var_os("HIVEMIND_PROFILE").is_some_and(|v| v != "0"),
             breakdown: PhaseBreakdown::default(),
-            phase_budget: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             cfg,
         };
         if engine.disconnect_armed {
@@ -935,28 +901,17 @@ impl Engine {
         self.now
     }
 
-    /// The number of spatial shards the device plane is split into.
-    pub fn shard_count(&self) -> u32 {
-        self.map.shards()
-    }
-
-    /// The conservative cross-shard lookahead (the wireless hop).
+    /// The shortest epoch horizon: the wireless hop (see
+    /// [`Topology::lookahead`]).
     pub fn lookahead(&self) -> SimDuration {
         self.lookahead
     }
 
-    /// The resolved device→shard partition, for components that want to
-    /// align their own spatial bookkeeping with the engine's (e.g. the
-    /// swarm controller's per-shard region view).
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Total simulation events processed so far (shard-phase actions and
+    /// Total simulation events processed so far (device-phase actions and
     /// FIFO completions plus hub-phase actions, effects, deliveries, and
     /// cloud completions). A throughput denominator for benchmarks.
     pub fn events_processed(&self) -> u64 {
-        self.hub_events + self.shards.iter().map(|s| s.events).sum::<u64>()
+        self.hub_events + self.block.events
     }
 
     /// Turns on the per-phase wall-clock timers (equivalent to running
@@ -970,21 +925,13 @@ impl Engine {
     /// unless profiling is enabled; counters are always exact.
     pub fn phase_breakdown(&self) -> PhaseBreakdown {
         let mut b = self.breakdown;
-        b.queue_ops = self.actions.ops()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.actions.ops() + s.wake.ops())
-                .sum::<u64>();
+        b.queue_ops = self.actions.ops() + self.block.actions.ops() + self.block.wake.ops();
         b.queue_rebuild_work = self.actions.rebuild_work()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.actions.rebuild_work() + s.wake.rebuild_work())
-                .sum::<u64>();
+            + self.block.actions.rebuild_work()
+            + self.block.wake.rebuild_work();
         b.fabric_hops = self.fabric.hops_completed();
         b.cluster_events = self.cluster.as_ref().map_or(0, Cluster::events_popped);
-        b.rng_draws = self.rng_draws + self.shards.iter().map(|s| s.rng_draws).sum::<u64>();
+        b.rng_draws = self.rng_draws + self.block.rng_draws;
         b
     }
 
@@ -1039,10 +986,10 @@ impl Engine {
                 ],
             );
         }
-        let sh = &mut self.shards[self.map.shard_of(device) as usize];
-        let seq = sh.aseq;
-        sh.aseq += 1;
-        sh.actions.push(
+        let block = &mut self.block;
+        let seq = block.aseq;
+        block.aseq += 1;
+        block.actions.push(
             (at, seq),
             Capture {
                 task: id,
@@ -1072,13 +1019,6 @@ impl Engine {
         self.tags[i] = Some(purpose);
     }
 
-    /// Resolves a device id to its `(shard index, block offset)` pair.
-    #[inline]
-    fn locate(&self, device: u32) -> (usize, usize) {
-        let s = self.map.shard_of(device) as usize;
-        (s, (device - self.shards[s].first_dev) as usize)
-    }
-
     /// The earliest instant at which anything will happen.
     pub fn next_wakeup(&self) -> Option<SimTime> {
         let mut best: Option<SimTime> = self.actions.peek().map(|(t, _)| t);
@@ -1092,9 +1032,7 @@ impl Engine {
         merge(self.fabric.next_wakeup());
         merge(self.cluster.as_ref().and_then(|c| c.next_wakeup()));
         merge(self.pool.as_ref().and_then(|p| p.next_wakeup()));
-        for sh in &self.shards {
-            merge(sh.next_event());
-        }
+        merge(self.block.next_event());
         best
     }
 
@@ -1149,11 +1087,10 @@ impl Engine {
     }
 
     /// Advances one barrier epoch `[start, end]` where
-    /// `end = min(start + horizon, deadline)`: the parallel shard phase,
-    /// the order-stable effect merge, the serial hub phase, and the
-    /// spillover drain. The epoch grid is a pure function of the
-    /// configuration and the (shard-count-invariant) event stream, so
-    /// sharding never moves the boundaries.
+    /// `end = min(start + horizon, deadline)`: the device phase, the
+    /// effect merge, the serial hub phase, and the spillover drain. The
+    /// epoch grid is a pure function of the configuration and the event
+    /// stream; spillover and disconnect outputs depend on its boundaries.
     fn run_epoch(&mut self, start: SimTime, deadline: SimTime, stop_on_record: bool) {
         let horizon =
             if stop_on_record || self.cfg.overload.spillover.enabled || self.disconnect_armed {
@@ -1168,7 +1105,7 @@ impl Engine {
         let end = start.saturating_add(horizon).min(deadline);
         if self.profile {
             let t0 = std::time::Instant::now();
-            self.run_shard_phase(end);
+            self.run_device_phase(end);
             let t1 = std::time::Instant::now();
             self.collect_effects();
             let t2 = std::time::Instant::now();
@@ -1178,7 +1115,7 @@ impl Engine {
             self.breakdown.merge_ns += (t2 - t1).as_nanos() as u64;
             self.breakdown.hub_ns += (t3 - t2).as_nanos() as u64;
         } else {
-            self.run_shard_phase(end);
+            self.run_device_phase(end);
             self.collect_effects();
             self.run_hub_phase(end);
         }
@@ -1186,20 +1123,13 @@ impl Engine {
         // The clock tracks the latest *processed* event, not the epoch
         // boundary: the boundary is only a processing bound, so leaving
         // `now` at the last event keeps post-run submissions (mission
-        // barriers at the last record's time) legal, exactly as in the
-        // unsharded engine.
-        let latest = self
-            .shards
-            .iter()
-            .map(|s| s.cursor)
-            .fold(self.now, SimTime::max);
-        self.now = latest;
+        // barriers at the last record's time) legal.
+        self.now = self.now.max(self.block.cursor);
     }
 
-    /// Phase A: every shard with work in the window advances
-    /// independently (in parallel when cores and shards allow).
-    fn run_shard_phase(&mut self, upto: SimTime) {
-        let ctx = ShardCtx {
+    /// Phase A: the device block advances through the window.
+    fn run_device_phase(&mut self, upto: SimTime) {
+        let ctx = DeviceCtx {
             hybrid: self.cfg.platform.is_hybrid(),
             upload_fraction: self.cfg.platform.upload_fraction(),
             input_scale: self.cfg.input_scale,
@@ -1208,95 +1138,37 @@ impl Engine {
             trace: self.tracer.is_enabled(),
             edge_rpc: &self.edge_rpc,
         };
-        let mut active = 0usize;
-        let mut only = 0usize;
-        for (i, sh) in self.shards.iter().enumerate() {
-            if sh.next_event().is_some_and(|t| t <= upto) {
-                active += 1;
-                only = i;
-            }
-        }
-        if active == 0 {
-            return;
-        }
-        if active == 1 {
-            shard_phase(&mut self.shards[only], &ctx, upto);
-            return;
-        }
-        let outer = crate::runner::outer_workers().max(1);
-        let threads = (self.phase_budget / outer).clamp(1, self.shards.len());
-        if threads <= 1 {
-            for sh in &mut self.shards {
-                shard_phase(sh, &ctx, upto);
-            }
-            return;
-        }
-        let chunk = self.shards.len().div_ceil(threads);
-        let ctx = &ctx;
-        std::thread::scope(|scope| {
-            for group in self.shards.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for sh in group {
-                        shard_phase(sh, ctx, upto);
-                    }
-                });
-            }
-        });
+        device_phase(&mut self.block, &ctx, upto);
     }
 
-    /// Barrier: the batched cross-shard exchange. Every shard's (sorted)
+    /// Barrier: the batched device → hub exchange. The fresh (sorted)
     /// effect batch and the previous epoch's not-yet-due leftovers fold
-    /// through one k-way merge into the next pending run — a single
-    /// buffer swap per epoch instead of a per-event heap handoff. The
-    /// result is the same unique `(time, device, seq)` order a global
-    /// heap would produce, independent of the shard count.
+    /// into the next pending run — a single buffer swap per epoch instead
+    /// of a per-event heap handoff — in unique `(time, device, seq)`
+    /// order.
     fn collect_effects(&mut self) {
-        if self.shards.len() == 1 {
-            let sh = &mut self.shards[0];
-            if sh.out.is_empty() {
-                return;
-            }
-            self.breakdown.exchange_epochs += 1;
-            self.breakdown.exchange_effects += sh.out.len() as u64;
-            if self.pending_cursor == self.pending.len() {
-                // No leftovers: the fresh batch *is* the next pending
-                // run; swap buffers and reuse the old one for emission.
-                std::mem::swap(&mut self.pending, &mut sh.out);
-            } else {
-                self.pending_scratch.clear();
-                merge_keyed_into(
-                    &[&self.pending[self.pending_cursor..], &sh.out],
-                    &mut self.pending_scratch,
-                );
-                std::mem::swap(&mut self.pending, &mut self.pending_scratch);
-                self.breakdown.merge_elems += self.pending.len() as u64;
-            }
-            sh.out.clear();
-            self.pending_cursor = 0;
-            return;
-        }
-        let leftover = self.pending_cursor < self.pending.len();
-        if !leftover && self.shards.iter().all(|s| s.out.is_empty()) {
+        let block = &mut self.block;
+        if block.out.is_empty() {
             return;
         }
         self.breakdown.exchange_epochs += 1;
-        self.breakdown.exchange_effects +=
-            self.shards.iter().map(|s| s.out.len() as u64).sum::<u64>();
-        self.pending_scratch.clear();
-        {
-            let mut runs: Vec<&[(EffectKey, Effect)]> = Vec::with_capacity(self.shards.len() + 1);
-            runs.push(&self.pending[self.pending_cursor..]);
-            for sh in &self.shards {
-                runs.push(&sh.out);
-            }
-            merge_keyed_into(&runs, &mut self.pending_scratch);
+        self.breakdown.exchange_effects += block.out.len() as u64;
+        if self.pending_cursor == self.pending.len() {
+            // No leftovers: the fresh batch *is* the next pending run;
+            // swap buffers and reuse the old one for emission.
+            std::mem::swap(&mut self.pending, &mut block.out);
+        } else {
+            self.pending_scratch.clear();
+            effect::merge_into(
+                &self.pending[self.pending_cursor..],
+                &block.out,
+                &mut self.pending_scratch,
+            );
+            std::mem::swap(&mut self.pending, &mut self.pending_scratch);
+            self.breakdown.merge_elems += self.pending.len() as u64;
         }
-        std::mem::swap(&mut self.pending, &mut self.pending_scratch);
-        self.breakdown.merge_elems += self.pending.len() as u64;
+        block.out.clear();
         self.pending_cursor = 0;
-        for sh in &mut self.shards {
-            sh.out.clear();
-        }
     }
 
     /// Phase B: the serial hub loop — due effects, hub actions, network
@@ -1387,11 +1259,11 @@ impl Engine {
         }
     }
 
-    /// Shard-aware FIFO submission from the (serial) hub side.
+    /// FIFO submission from the (serial) hub side.
     fn hub_edge_submit(&mut self, now: SimTime, device: u32, job: u64, service: SimDuration) {
-        let sh = &mut self.shards[self.map.shard_of(device) as usize];
-        let di = (device - sh.first_dev) as usize;
-        let fifo = &mut sh.fifos[di];
+        let block = &mut self.block;
+        let di = device as usize;
+        let fifo = &mut block.fifos[di];
         let prev = fifo.next_wakeup();
         fifo.submit(now, job, service);
         let new = fifo.next_wakeup();
@@ -1399,16 +1271,16 @@ impl Engine {
         // per job (which would go quadratic on overloaded devices).
         if new != prev {
             if let Some(t) = new {
-                sh.wake.push((t, device), ());
+                block.wake.push((t, device), ());
             }
         }
         if self.tracer.is_enabled() {
-            let depth = sh.fifos[di].load() as f64;
+            let depth = block.fifos[di].load() as f64;
             self.tracer.counter("edge", "queue", device, now, depth);
         }
     }
 
-    /// Applies one merged shard effect at its key instant.
+    /// Applies one device effect at its key instant.
     fn apply_effect(&mut self, key: EffectKey, effect: Effect) {
         let at = key.at;
         let device = key.lane;
@@ -1538,10 +1410,10 @@ impl Engine {
     /// granted by the last pre-partition heartbeat ack has expired (the
     /// merged window has been open for at least one lease timeout),
     /// returns the window's heal instant in seconds. A pure function of
-    /// the fault plan and the policy — no RNG, no per-shard state — so
-    /// the autonomy decision is shard-count-invariant. During the first
-    /// lease-timeout of a partition the device still trusts the cloud
-    /// and its uplinks hold in the fabric, exactly as without the plane.
+    /// the fault plan and the policy — no RNG, no per-device state.
+    /// During the first lease-timeout of a partition the device still
+    /// trusts the cloud and its uplinks hold in the fabric, exactly as
+    /// without the plane.
     fn autonomous_at(&self, at: SimTime) -> Option<f64> {
         if !self.disconnect_armed {
             return None;
@@ -1623,19 +1495,17 @@ impl Engine {
                 vec![("task", ArgValue::U64(task as u64))],
             );
         }
-        // The device FIFO belongs to the shard phase; like overload
-        // spillover, the job is resubmitted at the (shard-count-
-        // invariant) epoch boundary.
+        // The device FIFO belongs to the device phase; like overload
+        // spillover, the job is resubmitted at the epoch boundary.
         self.spill_inbox
             .push((at, device, edge_job(task, EdgeJobKind::Spillover), service));
     }
 
     /// The heal-time reconciliation session: every device drains its
     /// replay ring through its lifetime [`ReplaySession`] watermark in
-    /// device-id order (deterministic and shard-count-invariant). Each
-    /// accepted summary costs one radio transmission and rides the
-    /// fabric untagged — bandwidth and energy are charged, but no
-    /// response path follows. Duplicate offers are suppressed, so every
+    /// device-id order. Each accepted summary costs one radio
+    /// transmission and rides the fabric untagged — bandwidth and energy
+    /// are charged, but no response path follows. Duplicate offers are suppressed, so every
     /// buffered update lands exactly once across repeated partitions.
     fn reconcile_reconnect(&mut self, t: SimTime) {
         self.reconnect_ledger.partitions += 1;
@@ -1815,9 +1685,9 @@ impl Engine {
                         vec![("task", ArgValue::U64(task as u64))],
                     );
                 }
-                // The device FIFO belongs to the shard phase, which has
+                // The device FIFO belongs to the device phase, which has
                 // already advanced past `sub_done`; the job is resubmitted
-                // at the (shard-count-invariant) epoch boundary.
+                // at the epoch boundary.
                 self.spill_inbox.push((
                     sub_done,
                     device,
@@ -1968,14 +1838,12 @@ impl Engine {
 
     /// Battery state of a device.
     pub fn battery(&self, device: u32) -> &Battery {
-        let (s, di) = self.locate(device);
-        self.shards[s].batteries.cell(di)
+        self.block.batteries.cell(device as usize)
     }
 
     /// Mutable battery access (missions charge motion energy directly).
     pub fn battery_mut(&mut self, device: u32) -> &mut Battery {
-        let (s, di) = self.locate(device);
-        self.shards[s].batteries.cell_mut(di)
+        self.block.batteries.cell_mut(device as usize)
     }
 
     /// The network fabric (bandwidth accounting).
@@ -2009,93 +1877,92 @@ impl Engine {
 
     /// Pending on-device work for a device (queue depth).
     pub fn edge_load(&self, device: u32) -> usize {
-        let (s, di) = self.locate(device);
-        self.shards[s].fifos[di].load()
+        self.block.fifos[device as usize].load()
     }
 
     /// Total on-device busy compute time for a device.
     pub fn edge_busy_time(&self, device: u32) -> SimDuration {
-        let (s, di) = self.locate(device);
-        self.shards[s].fifos[di].busy_time()
+        self.block.fifos[device as usize].busy_time()
     }
 }
 
-/// Advances one shard through `[.., upto]`: local captures and FIFO
-/// completions in device-local time order, drawing only from per-device
-/// RNG lanes and emitting boundary effects. Runs with no access to hub
-/// state, so shards advance in parallel.
-fn shard_phase(sh: &mut Shard, ctx: &ShardCtx<'_>, upto: SimTime) {
-    while let Some(t) = sh.next_event() {
+/// Advances the device block through `[.., upto]`: local captures and
+/// FIFO completions in device-local time order, drawing only from
+/// per-device RNG lanes and emitting boundary effects. Runs with no
+/// access to hub state.
+fn device_phase(block: &mut DeviceBlock, ctx: &DeviceCtx<'_>, upto: SimTime) {
+    while let Some(t) = block.next_event() {
         if t > upto {
             break;
         }
-        sh.cursor = sh.cursor.max(t);
-        while sh.actions.peek().is_some_and(|(at, _)| at <= t) {
-            let ((at, _), c) = sh.actions.pop().expect("peeked");
-            sh.events += 1;
-            shard_capture(sh, ctx, at, c);
+        block.cursor = block.cursor.max(t);
+        while block.actions.peek().is_some_and(|(at, _)| at <= t) {
+            let ((at, _), c) = block.actions.pop().expect("peeked");
+            block.events += 1;
+            device_capture(block, ctx, at, c);
         }
-        drain_completions(sh, ctx, t);
+        drain_completions(block, ctx, t);
     }
-    // The hub merges batches by `(time, device, seq)`; emissions can be
+    // The hub merges the batch by `(time, device, seq)`; emissions can be
     // future-dated (`finish + send`), so local order is not key order.
     // Keys are unique, so the unstable sort is order-deterministic and
     // avoids the stable sort's temporary buffer.
-    sh.out.sort_unstable_by_key(|&(k, _)| k);
+    block.out.sort_unstable_by_key(|&(k, _)| k);
 }
 
-/// Stamps and queues one effect on the shard's outbound batch.
-fn emit(sh: &mut Shard, device: u32, at: SimTime, effect: Effect) {
-    let di = (device - sh.first_dev) as usize;
-    let seq = sh.eseqs[di];
-    sh.eseqs[di] += 1;
-    sh.out.push((EffectKey::new(at, device, seq), effect));
+/// Stamps and queues one effect on the outbound batch.
+fn emit(block: &mut DeviceBlock, device: u32, at: SimTime, effect: Effect) {
+    let di = device as usize;
+    let seq = block.eseqs[di];
+    block.eseqs[di] += 1;
+    block.out.push((EffectKey::new(at, device, seq), effect));
 }
 
-/// Shard-side FIFO submission (mirrors the hub's head-change wake
+/// Device-side FIFO submission (mirrors the hub's head-change wake
 /// indexing; the queue-depth counter rides the effect stream).
 fn fifo_submit(
-    sh: &mut Shard,
-    ctx: &ShardCtx<'_>,
+    block: &mut DeviceBlock,
+    ctx: &DeviceCtx<'_>,
     now: SimTime,
     device: u32,
     job: u64,
     service: SimDuration,
 ) {
-    let di = (device - sh.first_dev) as usize;
-    let fifo = &mut sh.fifos[di];
+    let di = device as usize;
+    let fifo = &mut block.fifos[di];
     let prev = fifo.next_wakeup();
     fifo.submit(now, job, service);
     let new = fifo.next_wakeup();
     if new != prev {
         if let Some(t) = new {
-            sh.wake.push((t, device), ());
+            block.wake.push((t, device), ());
         }
     }
     if ctx.trace {
-        let depth = sh.fifos[di].load() as u64;
-        emit(sh, device, now, Effect::QueueDepth { depth });
+        let depth = block.fifos[di].load() as u64;
+        emit(block, device, now, Effect::QueueDepth { depth });
     }
 }
 
-fn shard_capture(sh: &mut Shard, ctx: &ShardCtx<'_>, at: SimTime, c: Capture) {
+fn device_capture(block: &mut DeviceBlock, ctx: &DeviceCtx<'_>, at: SimTime, c: Capture) {
     let Capture {
         task,
         device,
         app,
         placement,
     } = c;
-    let di = (device - sh.first_dev) as usize;
+    let di = device as usize;
     match placement {
         PlacementSite::Edge => {
-            sh.rng_draws += 1;
-            let service = edge_service_from(&mut sh.rngs[di], app, ctx.device_factor);
+            block.rng_draws += 1;
+            let service = edge_service_from(&mut block.rngs[di], app, ctx.device_factor);
             let bytes = app.cloud_profile().output_bytes.max(1);
-            sh.batteries.cell_mut(di).draw_compute(service);
-            sh.pending_jobs
+            block.batteries.cell_mut(di).draw_compute(service);
+            block
+                .pending_jobs
                 .insert(task, EdgePending::Exec { bytes, service });
             fifo_submit(
-                sh,
+                block,
                 ctx,
                 at,
                 device,
@@ -2120,15 +1987,16 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx<'_>, at: SimTime, c: Capture) {
                 // The synthesized on-device filter tier runs first: a
                 // cheap salience detector, far lighter than the full
                 // model (bounded so it never dominates the device).
-                sh.rng_draws += 1;
-                let filter = edge_service_from(&mut sh.rngs[di], app, ctx.device_factor)
+                block.rng_draws += 1;
+                let filter = edge_service_from(&mut block.rngs[di], app, ctx.device_factor)
                     .mul_f64(0.02)
                     .min(SimDuration::from_millis(40));
-                sh.batteries.cell_mut(di).draw_compute(filter);
-                sh.pending_jobs
+                block.batteries.cell_mut(di).draw_compute(filter);
+                block
+                    .pending_jobs
                     .insert(task, EdgePending::Filter { upload_bytes });
                 fifo_submit(
-                    sh,
+                    block,
                     ctx,
                     at,
                     device,
@@ -2136,10 +2004,10 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx<'_>, at: SimTime, c: Capture) {
                     filter,
                 );
             } else {
-                sh.rng_draws += 1;
-                let send = ctx.edge_rpc.send_cost(&mut sh.rngs[di], upload_bytes);
+                block.rng_draws += 1;
+                let send = ctx.edge_rpc.send_cost(&mut block.rngs[di], upload_bytes);
                 emit(
-                    sh,
+                    block,
                     device,
                     at + send,
                     Effect::Uplink {
@@ -2154,60 +2022,61 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx<'_>, at: SimTime, c: Capture) {
     }
 }
 
-/// Drains this shard's FIFO completions due by `t`, in global head-time
+/// Drains the FIFO completions due by `t`, in global head-time
 /// order (wake entries are exact head times or stale-early duplicates).
-fn drain_completions(sh: &mut Shard, ctx: &ShardCtx<'_>, t: SimTime) {
-    let mut done = std::mem::take(&mut sh.done_scratch);
-    while let Some((et, dev)) = sh.wake.peek() {
+fn drain_completions(block: &mut DeviceBlock, ctx: &DeviceCtx<'_>, t: SimTime) {
+    let mut done = std::mem::take(&mut block.done_scratch);
+    while let Some((et, dev)) = block.wake.peek() {
         if et > t {
             break;
         }
-        sh.wake.pop();
-        let di = (dev - sh.first_dev) as usize;
-        match sh.fifos[di].next_wakeup() {
+        block.wake.pop();
+        let di = dev as usize;
+        match block.fifos[di].next_wakeup() {
             Some(actual) if actual <= t => {
-                sh.fifos[di].advance_into(actual, &mut done);
-                if let Some(next) = sh.fifos[di].next_wakeup() {
-                    sh.wake.push((next, dev), ());
+                block.fifos[di].advance_into(actual, &mut done);
+                if let Some(next) = block.fifos[di].next_wakeup() {
+                    block.wake.push((next, dev), ());
                 }
                 if ctx.trace {
-                    let depth = sh.fifos[di].load() as u64;
-                    emit(sh, dev, actual, Effect::QueueDepth { depth });
+                    let depth = block.fifos[di].load() as u64;
+                    emit(block, dev, actual, Effect::QueueDepth { depth });
                 }
                 // Drain in place: `done` keeps its high-water capacity
                 // across batches instead of reallocating per completion.
                 for (finish, job, queued) in done.drain(..) {
-                    sh.events += 1;
-                    edge_completion(sh, ctx, dev, finish, job, queued);
+                    block.events += 1;
+                    edge_completion(block, ctx, dev, finish, job, queued);
                 }
             }
-            Some(actual) => sh.wake.push((actual, dev), ()),
+            Some(actual) => block.wake.push((actual, dev), ()),
             None => {}
         }
     }
-    sh.done_scratch = done;
+    block.done_scratch = done;
 }
 
 fn edge_completion(
-    sh: &mut Shard,
-    ctx: &ShardCtx<'_>,
+    block: &mut DeviceBlock,
+    ctx: &DeviceCtx<'_>,
     dev: u32,
     finish: SimTime,
     job: u64,
     queued: SimDuration,
 ) {
     let (task, kind) = decode_edge_job(job);
-    let di = (dev - sh.first_dev) as usize;
+    let di = dev as usize;
     match kind {
         EdgeJobKind::Exec => {
-            let Some(EdgePending::Exec { bytes, service }) = sh.pending_jobs.remove(&task) else {
+            let Some(EdgePending::Exec { bytes, service }) = block.pending_jobs.remove(&task)
+            else {
                 unreachable!("exec completion without pending state");
             };
-            sh.batteries.cell_mut(di).draw_radio(bytes);
-            sh.rng_draws += 1;
-            let send = ctx.edge_rpc.send_cost(&mut sh.rngs[di], bytes);
+            block.batteries.cell_mut(di).draw_radio(bytes);
+            block.rng_draws += 1;
+            let send = ctx.edge_rpc.send_cost(&mut block.rngs[di], bytes);
             emit(
-                sh,
+                block,
                 dev,
                 finish + send,
                 Effect::ResultUplink {
@@ -2220,13 +2089,14 @@ fn edge_completion(
             );
         }
         EdgeJobKind::Filter => {
-            let Some(EdgePending::Filter { upload_bytes }) = sh.pending_jobs.remove(&task) else {
+            let Some(EdgePending::Filter { upload_bytes }) = block.pending_jobs.remove(&task)
+            else {
                 unreachable!("filter completion without pending state");
             };
-            sh.rng_draws += 1;
-            let send = ctx.edge_rpc.send_cost(&mut sh.rngs[di], upload_bytes);
+            block.rng_draws += 1;
+            let send = ctx.edge_rpc.send_cost(&mut block.rngs[di], upload_bytes);
             emit(
-                sh,
+                block,
                 dev,
                 finish + send,
                 Effect::Uplink {
@@ -2240,7 +2110,7 @@ fn edge_completion(
         EdgeJobKind::Spillover => {
             // Degraded re-execution finished: the result is already on
             // the device, so the task completes with no downlink leg.
-            emit(sh, dev, finish, Effect::FinishLocal { task, queued });
+            emit(block, dev, finish, Effect::FinishLocal { task, queued });
         }
     }
 }
@@ -2529,65 +2399,6 @@ mod tests {
         let r = run_one(Platform::CentralizedIaaS, App::WeatherAnalytics);
         assert_eq!(r.placement, PlacementSite::Cloud);
         assert_eq!(r.instantiation, SimDuration::ZERO, "reserved workers");
-    }
-
-    /// Runs a mixed workload (edge + cloud placements, multiple devices)
-    /// and fingerprints everything byte-visible about the records.
-    fn record_fingerprint(platform: Platform, shards: u32) -> Vec<(u32, u32, u64, u64, u64)> {
-        let mut cfg = EngineConfig::testbed(platform);
-        cfg.shards = shards;
-        let mut engine = Engine::new(cfg);
-        for i in 0..20u64 {
-            for dev in 0..16 {
-                let app = if dev % 2 == 0 {
-                    App::FaceRecognition
-                } else {
-                    App::DroneDetection
-                };
-                engine.submit_task(SimTime::from_secs(i), dev, app, dev);
-            }
-        }
-        let records = engine.run_to_completion();
-        records
-            .iter()
-            .map(|r| {
-                (
-                    r.task,
-                    r.device,
-                    (r.done - SimTime::ZERO).as_nanos(),
-                    r.network.as_nanos(),
-                    r.exec.as_nanos(),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn shard_count_never_changes_a_byte() {
-        for platform in [
-            Platform::CentralizedFaaS,
-            Platform::DistributedEdge,
-            Platform::HiveMind,
-        ] {
-            let one = record_fingerprint(platform, 1);
-            assert!(!one.is_empty());
-            for shards in [2u32, 3, 8, 16, 64] {
-                assert_eq!(
-                    one,
-                    record_fingerprint(platform, shards),
-                    "{platform:?} diverged at {shards} shards"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shard_count_is_clamped_to_devices() {
-        let mut cfg = EngineConfig::testbed(Platform::HiveMind);
-        cfg.shards = 1000;
-        let engine = Engine::new(cfg);
-        assert_eq!(engine.shard_count(), 16);
-        assert_eq!(engine.lookahead(), SimDuration::from_millis(5));
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub enum Workload {
 
 /// The run-control planes of an experiment, gathered into one builder
 /// with a single cross-checking [`RunPlan::validate`]: fault injection,
-/// overload control, tracing, scripted device failures, and engine
-/// sharding. Attach one to a configuration with
+/// overload control, disconnected operation, tracing, and scripted device
+/// failures. Attach one to a configuration with
 /// [`ExperimentConfig::plan`]:
 ///
 /// ```rust
@@ -73,8 +73,7 @@ pub enum Workload {
 /// let cfg = ExperimentConfig::single_app(App::FaceRecognition).plan(
 ///     RunPlan::new()
 ///         .faults(FaultPlan::default().packet_loss(0.05))
-///         .trace(true)
-///         .shards(4),
+///         .trace(true),
 /// );
 /// assert!(cfg.validate().is_ok());
 /// ```
@@ -105,15 +104,15 @@ pub struct RunPlan {
     /// controller detects each via missed heartbeats and repartitions the
     /// failed device's remaining area among its live neighbours (Fig. 10).
     pub device_failures: Vec<(f64, u32)>,
-    /// Spatial shards for the engine's device-local event loop; `0`
-    /// (the default) reads `HIVEMIND_SHARDS`. Purely a parallelism knob:
-    /// every output byte is identical for every value.
+    /// Inert: has no effect on a run (the engine advances every device
+    /// in one block). Kept only because `perfbench`'s engine-config
+    /// adapter names it; it goes with the next change to the benchmark.
     pub shards: u32,
 }
 
 impl RunPlan {
-    /// An inert plan: no faults, no overload control, no tracing, no
-    /// scripted failures, sharding from the environment.
+    /// An inert plan: no faults, no overload control, no disconnect
+    /// policy, no tracing, no scripted failures.
     pub fn new() -> RunPlan {
         RunPlan::default()
     }
@@ -157,14 +156,8 @@ impl RunPlan {
         self
     }
 
-    /// Pins the engine's shard count (0 = read `HIVEMIND_SHARDS`).
-    pub fn shards(mut self, n: u32) -> Self {
-        self.shards = n;
-        self
-    }
-
     /// Whether any plane deviates from the inert default in a way that
-    /// can change metrics (sharding and tracing never do).
+    /// can change metrics (tracing never does).
     pub fn is_active(&self) -> bool {
         self.faults.is_active()
             || self.overload.is_active()
@@ -174,9 +167,8 @@ impl RunPlan {
 
     /// Cross-checks every plane against the workload it will run under:
     /// `fail_device` entries must target a device inside the fleet and
-    /// fire within `horizon_secs`, the fault plan and overload policy
-    /// must each be self-consistent, and a pinned shard count must not
-    /// exceed the fleet (one shard owns at least one device).
+    /// fire within `horizon_secs`, and the fault plan, overload policy and
+    /// disconnect policy must each be self-consistent.
     pub fn validate(
         &self,
         devices: u32,
@@ -206,12 +198,6 @@ impl RunPlan {
         self.disconnect
             .validate()
             .map_err(ConfigError::InvalidDisconnectPolicy)?;
-        if self.shards > devices {
-            return Err(ConfigError::InvalidShardPlan {
-                shards: self.shards,
-                fleet: devices,
-            });
-        }
         Ok(())
     }
 }
@@ -246,8 +232,8 @@ pub struct ExperimentConfig {
     pub retrain: RetrainMode,
     /// Override the IaaS pool size.
     pub iaas_workers: Option<u32>,
-    /// The run-control planes: faults, overload, tracing, scripted
-    /// device failures, sharding.
+    /// The run-control planes: faults, overload, disconnect, tracing,
+    /// scripted device failures.
     pub plan: RunPlan,
 }
 
@@ -285,14 +271,6 @@ pub enum ConfigError {
     /// buffer, sub-unity speedup…); the string is the policy's own
     /// description of the first problem.
     InvalidDisconnectPolicy(String),
-    /// The pinned shard count exceeds the fleet (a shard must own at
-    /// least one device).
-    InvalidShardPlan {
-        /// The configured shard count.
-        shards: u32,
-        /// Configured fleet size.
-        fleet: u32,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -318,10 +296,6 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidDisconnectPolicy(msg) => {
                 write!(f, "invalid disconnect policy: {msg}")
             }
-            ConfigError::InvalidShardPlan { shards, fleet } => write!(
-                f,
-                "shard plan pins {shards} shards but the fleet has only {fleet} devices"
-            ),
         }
     }
 }
@@ -452,8 +426,8 @@ impl ExperimentConfig {
         self
     }
 
-    /// Attaches the run-control planes (faults, overload, tracing,
-    /// scripted device failures, sharding) in one validated bundle.
+    /// Attaches the run-control planes (faults, overload, disconnect,
+    /// tracing, scripted device failures) in one validated bundle.
     pub fn plan(mut self, plan: RunPlan) -> Self {
         self.plan = plan;
         self
@@ -1035,20 +1009,6 @@ mod tests {
                 assert!(msg.contains("buffer_cap"), "{msg}");
             }
             other => panic!("expected InvalidDisconnectPolicy, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn oversharded_plan_is_rejected() {
-        let cfg = ExperimentConfig::single_app(App::FaceRecognition)
-            .devices(4)
-            .plan(RunPlan::new().shards(5));
-        match Experiment::try_new(cfg) {
-            Err(ConfigError::InvalidShardPlan {
-                shards: 5,
-                fleet: 4,
-            }) => {}
-            other => panic!("expected InvalidShardPlan, got {other:?}"),
         }
     }
 

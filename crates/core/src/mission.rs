@@ -202,11 +202,6 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
     };
     let mut field = Field::generate(field_params, forge.child("world"));
     let mut controller = SwarmController::new(bounds, cfg.devices);
-    // The controller's monitoring plane reasons in the same spatial
-    // blocks the engine shards the device plane into.
-    controller
-        .align_device_shards(*engine.shard_map())
-        .expect("engine and controller agree on the fleet size");
     let profile = cfg.device_profile();
 
     // --- Device failures (Sec. 4.6 / Fig. 10): the controller declares a

@@ -23,22 +23,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hivemind_sim::rng::replicate_seed;
-
-/// Workers currently fanning out replicates, published so the sharded
-/// engine can divide the machine between the two nesting levels: with
-/// `w` replicate workers active, each engine's shard phase takes at most
-/// `cores / w` threads (shard×replicate budget). Zero / one means no
-/// outer fan-out is active.
-static OUTER_WORKERS: AtomicUsize = AtomicUsize::new(1);
-
-/// The number of replicate workers currently active (≥ 1).
-pub(crate) fn outer_workers() -> usize {
-    OUTER_WORKERS.load(Ordering::Relaxed).max(1)
-}
-
-fn set_outer_workers(n: usize) {
-    OUTER_WORKERS.store(n.max(1), Ordering::Relaxed);
-}
 use hivemind_sim::stats::Summary;
 
 use crate::experiment::{Experiment, ExperimentConfig};
@@ -96,9 +80,6 @@ impl Runner {
         if workers <= 1 {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
-        // Publish the fan-out width so nested shard phases shrink their
-        // thread budget instead of oversubscribing the machine.
-        set_outer_workers(workers);
         let cursor = AtomicUsize::new(0);
         let parts: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -121,7 +102,6 @@ impl Runner {
                 .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect()
         });
-        set_outer_workers(1);
         // O(n) order restoration: every input index is produced exactly
         // once, so results drop straight into their slots — no sort.
         let mut slots: Vec<Option<U>> = Vec::with_capacity(n);

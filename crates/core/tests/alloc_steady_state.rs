@@ -79,7 +79,6 @@ fn steady_state_epoch_allocates_nothing() {
     let mut cfg = EngineConfig::testbed(Platform::HiveMind);
     cfg.devices = 256;
     cfg.servers = 192;
-    cfg.shards = 1;
     let mut engine = Engine::new(cfg);
     // The fig17-style mission slice: every device captures once per
     // second for 40 s, half edge-placed, half cloud-placed.

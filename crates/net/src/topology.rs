@@ -265,11 +265,11 @@ impl Topology {
         device % self.routers
     }
 
-    /// Conservative cross-shard lookahead: the smallest propagation delay
-    /// on any wireless-medium link. No event generated by one device can
-    /// influence hardware owned by another in less virtual time than a
-    /// wireless hop, so a sharded engine may safely advance each device
-    /// partition by this window between synchronization barriers.
+    /// The engine's epoch horizon: the smallest propagation delay on any
+    /// wireless-medium link. No event generated by a device can reach the
+    /// shared cloud in less virtual time than a wireless hop, so the
+    /// engine advances its device phase by this window between hub
+    /// phases.
     pub fn lookahead(&self) -> SimDuration {
         self.links
             .iter()

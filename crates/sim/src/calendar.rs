@@ -76,12 +76,6 @@ impl CalendarKey for (SimTime, u32) {
     }
 }
 
-impl CalendarKey for crate::shard::EffectKey {
-    fn time(&self) -> SimTime {
-        self.at
-    }
-}
-
 /// Fewest buckets the calendar ever holds.
 const MIN_BUCKETS: usize = 16;
 /// Most buckets the calendar ever holds (2^22 bucket headers is already

@@ -489,7 +489,7 @@ impl NetFaults {
     ///
     /// This is the *pure* partition query the disconnect plane routes on:
     /// it inspects only the declarative plan, so hold-vs-degrade decisions
-    /// stay byte-identical across shard and thread counts.
+    /// stay byte-identical across thread counts.
     pub fn partition_until(&self, t_secs: f64) -> Option<f64> {
         let mut release: Option<f64> = None;
         loop {

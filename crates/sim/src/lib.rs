@@ -41,9 +41,6 @@
 //! * [`trace`] — zero-cost-when-disabled structured tracing ([`Tracer`],
 //!   [`TraceHandle`]) with JSONL and Chrome `trace_event` exporters, so a
 //!   run can be replayed event by event in Perfetto.
-//! * [`shard`] — spatial sharding primitives ([`ShardMap`], [`EffectKey`],
-//!   order-stable merge) for the multi-core conservative-lookahead engine;
-//!   `HIVEMIND_SHARDS` changes wall-clock time, never an output byte.
 //!
 //! Everything in this crate is pure computation: a run is a function of
 //! `(model, seed)` and nothing else, which is what makes the reproduction's
@@ -89,7 +86,6 @@ pub mod hash;
 pub mod mc;
 pub mod overload;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -103,7 +99,6 @@ pub use faults::{FaultPlan, FaultPlanError, RetryDecision, RetryPolicy};
 pub use mc::{McConfig, McModel, McReport};
 pub use overload::{CircuitBreaker, OverloadPolicy};
 pub use rng::RngForge;
-pub use shard::{merge_keyed_into, EffectKey, ShardMap};
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent, TraceHandle, Tracer};

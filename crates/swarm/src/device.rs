@@ -13,17 +13,14 @@ use hivemind_sim::time::SimDuration;
 use crate::battery::{Battery, BatteryParams};
 use crate::geometry::Point;
 
-/// A contiguous block of per-device batteries for one shard's device
-/// range.
+/// A contiguous block of per-device batteries, indexed by device id.
 ///
-/// The engine's shard inner loop touches battery state on every capture,
-/// completion, and radio transfer; keeping the cells in one dense array
-/// indexed by `device - first_dev` (the [`ShardMap`] block offset) turns
-/// that access into a cache-line stream instead of a pointer chase
-/// through per-device structs. Cells are plain [`Battery`] values —
-/// the block is the struct-of-arrays layout, not a new semantics.
-///
-/// [`ShardMap`]: hivemind_sim::shard::ShardMap
+/// The engine's device-phase inner loop touches battery state on every
+/// capture, completion, and radio transfer; keeping the cells in one
+/// dense array turns that access into a cache-line stream instead of a
+/// pointer chase through per-device structs. Cells are plain [`Battery`]
+/// values — the block is the struct-of-arrays layout, not a new
+/// semantics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatteryBlock {
     cells: Vec<Battery>,

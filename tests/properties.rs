@@ -4,10 +4,10 @@
 use hivemind::apps::kernels::dedup::{deduplicate, Observation, UnionFind};
 use hivemind::apps::kernels::embedding::observe;
 use hivemind::apps::kernels::ocr::{recognize, SignImage};
+use hivemind::core::engine::effect::{merge_into, EffectKey};
 use hivemind::net::fabric::{Fabric, Transfer};
 use hivemind::net::topology::{Node, Topology, TopologyParams};
 use hivemind::sim::rng::RngForge;
-use hivemind::sim::shard::{merge_keyed, EffectKey, ShardMap};
 use hivemind::sim::stats::Summary;
 use hivemind::sim::time::{SimDuration, SimTime};
 use hivemind::swarm::geometry::{partition_field, Rect};
@@ -160,66 +160,37 @@ proptest! {
         prop_assert_eq!(result.unique_count, people as usize);
     }
 
-    /// The sharded engine's exchange order is partition-invariant: for
-    /// any set of keyed events and any shard count, merging the
-    /// per-shard batches yields exactly the single-shard (globally
-    /// sorted) stream. This is the data-structure core of the
-    /// `HIVEMIND_SHARDS` byte-determinism contract.
+    /// The engine's effect exchange: a sorted leftover run merged with a
+    /// sorted fresh batch is exactly the global sort of their union, for
+    /// any split of a key population between the two runs. Times come
+    /// from a narrow range so same-instant ties, which whole-second
+    /// capture bursts make common, are decided by `(lane, seq)`.
     #[test]
-    fn shard_merge_equals_single_shard_order(
-        events in prop::collection::vec((0u64..50_000_000, 0u32..16), 1..120),
-        shards in 1u32..9,
+    fn leftover_merge_equals_global_sort(
+        events in prop::collection::vec((0u64..32, 0u32..16, any::<bool>()), 0..120),
     ) {
-        // Stamp per-lane monotone sequence numbers, as the engine does.
+        // Stamp per-lane monotone sequence numbers, as the engine does,
+        // so every key is unique.
         let mut seq = [0u64; 16];
-        let mut keyed: Vec<(EffectKey, usize)> = events
-            .iter()
-            .enumerate()
-            .map(|(i, &(nanos, lane))| {
-                seq[lane as usize] += 1;
-                (
-                    EffectKey::new(SimTime::from_nanos(nanos), lane, seq[lane as usize]),
-                    i,
-                )
-            })
-            .collect();
-
-        // Reference: the single-shard semantics — one global sort.
-        let mut reference = keyed.clone();
-        reference.sort_by_key(|&(k, _)| k);
-
-        // Partition lanes into shard batches (each batch sorted, as
-        // shards emit), merge, and demand the identical stream.
-        let map = ShardMap::new(16, shards);
-        let mut batches: Vec<Vec<(EffectKey, usize)>> =
-            (0..map.shards()).map(|_| Vec::new()).collect();
-        keyed.sort_by_key(|&(k, _)| k);
-        for (k, v) in keyed {
-            batches[map.shard_of(k.lane) as usize].push((k, v));
-        }
-        prop_assert_eq!(merge_keyed(batches), reference);
-    }
-
-    /// A shard map tiles the device range exactly: every device belongs
-    /// to one shard, blocks are contiguous, and sizes differ by at most
-    /// one.
-    #[test]
-    fn shard_map_tiles_the_fleet(devices in 1u32..5000, shards in 1u32..64) {
-        let map = ShardMap::new(devices, shards);
-        let mut covered = 0u32;
-        let mut sizes = Vec::new();
-        for s in 0..map.shards() {
-            let range = map.range(s);
-            prop_assert_eq!(range.start, covered, "blocks must be contiguous");
-            for d in range.clone() {
-                prop_assert_eq!(map.shard_of(d), s);
+        let mut leftover = Vec::new();
+        let mut fresh = Vec::new();
+        for (i, &(nanos, lane, is_leftover)) in events.iter().enumerate() {
+            seq[lane as usize] += 1;
+            let key = EffectKey::new(SimTime::from_nanos(nanos), lane, seq[lane as usize]);
+            if is_leftover {
+                leftover.push((key, i));
+            } else {
+                fresh.push((key, i));
             }
-            sizes.push(range.len());
-            covered = range.end;
         }
-        prop_assert_eq!(covered, devices);
-        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        prop_assert!(max - min <= 1, "block sizes differ by more than one");
+        let mut reference: Vec<(EffectKey, usize)> =
+            leftover.iter().chain(&fresh).copied().collect();
+        reference.sort_by_key(|&(k, _)| k);
+        leftover.sort_by_key(|&(k, _)| k);
+        fresh.sort_by_key(|&(k, _)| k);
+        let mut merged = Vec::new();
+        merge_into(&leftover, &fresh, &mut merged);
+        prop_assert_eq!(merged, reference);
     }
 
     /// OCR round-trips any string over its alphabet when noise-free.
